@@ -30,6 +30,7 @@ from .corpus import (
     encode_document,
     load_dataset,
     load_vocab,
+    read_records,
     sample_fewshot,
     save_vocab,
     split_sentences,
@@ -195,17 +196,10 @@ def _write_train_log(out_dir, history: list[dict]) -> None:
 
 def _read_documents(path) -> list[str]:
     texts = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid record: {exc}") from exc
-            if not isinstance(record, dict) or "document" not in record:
-                raise ParseError(f"{path}: line {lineno}: record must have 'document'")
-            texts.append(str(record["document"]))
+    for lineno, record in read_records(path):
+        if "document" not in record:
+            raise ParseError(f"{path}: line {lineno}: record must have 'document'")
+        texts.append(str(record["document"]))
     return texts
 
 
@@ -303,16 +297,9 @@ def cmd_build_vocab(args) -> int:
     cfg = resolve_config(args)
     with _run(args.out, "build-vocab", cfg, {"data": args.data}, ["vocab.txt"], argv=args.argv):
         texts = []
-        with open(args.data, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{args.data}: line {lineno}: invalid record: {exc}") from exc
-                texts.append(str(record.get("document", "")))
-                texts.append(str(record.get("summary", "")))
+        for _, record in read_records(args.data):
+            texts.append(str(record.get("document", "")))
+            texts.append(str(record.get("summary", "")))
         vocab = build_vocab(texts, min_freq=args.min_freq)
         save_vocab(vocab, os.path.join(args.out, "vocab.txt"))
         print(f"vocab: {len(vocab)} tokens")

@@ -238,6 +238,21 @@ def encode_summary(text: str, vocab: Vocab) -> tuple[int, ...]:
     return tuple(ids) + (EOS_ID,)
 
 
+def read_records(path):
+    """(line number, record) for every non-blank JSONL line; each must be an object."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno}: invalid record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ParseError(f"{path}: line {lineno}: record must be a JSON object")
+            yield lineno, record
+
+
 def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> list[SummaryPair]:
     """Load line-delimited {"document", "summary"} records.
 
@@ -247,28 +262,21 @@ def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> list[Summary
     """
     pairs: list[SummaryPair] = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid record: {exc}") from exc
-            if not isinstance(record, dict) or "document" not in record or "summary" not in record:
-                raise ParseError(f"{path}: line {lineno}: record must have 'document' and 'summary'")
-            doc_text = str(record["document"]).strip()
-            sum_text = str(record["summary"]).strip()
-            if not doc_text or not sum_text:
-                skipped += 1
-                continue
-            try:
-                doc = truncate_document(encode_document(doc_text, vocab), max_src_tokens)
-                summary = encode_summary(sum_text, vocab)
-            except EmptyDocumentError:
-                skipped += 1
-                continue
-            pairs.append(SummaryPair(doc, summary))
+    for lineno, record in read_records(path):
+        if "document" not in record or "summary" not in record:
+            raise ParseError(f"{path}: line {lineno}: record must have 'document' and 'summary'")
+        doc_text = str(record["document"]).strip()
+        sum_text = str(record["summary"]).strip()
+        if not doc_text or not sum_text:
+            skipped += 1
+            continue
+        try:
+            doc = truncate_document(encode_document(doc_text, vocab), max_src_tokens)
+            summary = encode_summary(sum_text, vocab)
+        except EmptyDocumentError:
+            skipped += 1
+            continue
+        pairs.append(SummaryPair(doc, summary))
     if skipped:
         warnings.warn(f"{path}: skipped {skipped} records with empty document/summary")
     if not pairs:

@@ -137,21 +137,30 @@ def evaluate(
     max_len: int = 256,
     vocab: Vocab | None = None,
 ) -> tuple[EvalReport, list[dict]]:
-    """Full report (ROUGE + perplexity of the generated summaries) plus predictions."""
+    """Full report (ROUGE + perplexity of the generated summaries) plus predictions.
+
+    Perplexity comes from each winning hypothesis's own cumulative
+    log-probability, so no document is encoded or decoded a second time; it
+    equals ``perplexity`` on the returned token ids.
+    """
     if not test:
         raise ValueError("test set is empty")
-    records = generate_predictions(backbone, prompts, config, test, beam, max_len, vocab=vocab)
-    ppl = perplexity(
-        backbone,
-        prompts,
-        config,
-        [(pair.document, rec["token_ids"]) for pair, rec in zip(test, records)],
+    logps: list[float] = []
+
+    def decode(pair: SummaryPair) -> list[int]:
+        gen = beam_search(backbone, prompts, config, pair.document, beam, max_len)
+        logps.append(gen.logp)
+        return gen
+
+    records = generate_predictions(
+        backbone, prompts, config, test, beam, max_len, decode_fn=decode, vocab=vocab
     )
+    n_tokens = sum(len(r["token_ids"]) for r in records)
     report = EvalReport(
         r1_f1=float(np.mean([r["r1"] for r in records])),
         r2_f1=float(np.mean([r["r2"] for r in records])),
         rl_f1=float(np.mean([r["rl"] for r in records])),
-        ppl=ppl,
+        ppl=math.exp(-sum(logps) / n_tokens),
         n_examples=len(records),
         fingerprint=config_fingerprint(backbone, config, beam, max_len),
     )

@@ -13,7 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+import zipfile
+import zlib
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -191,10 +193,47 @@ class ForwardResult:
     attention: AttentionRecord
 
 
+KV = tuple[Tensor, Tensor]
+
+
+@dataclass
+class DecoderCache:
+    """Decoder key/value rows of one document, detached from the tape.
+
+    ``cross`` holds each layer's cross-attention K/V of the encoder memory,
+    projected on first use. ``prefixes`` maps a target prefix to each layer's
+    self-attention K/V over the rows [P_de ; BOS ; prefix].
+    """
+
+    cross: list[KV] | None = None
+    prefixes: dict[tuple[int, ...], list[KV]] = field(default_factory=dict)
+
+    def nearest(self, prefix: tuple[int, ...]) -> tuple[int, list[KV] | None]:
+        """The longest cached proper prefix of ``prefix``: (its length, its K/V)."""
+        for n in range(len(prefix) - 1, -1, -1):
+            entry = self.prefixes.get(prefix[:n])
+            if entry is not None:
+                return n, entry
+        return 0, None
+
+    def retain(self, live) -> None:
+        """Evict every entry that none of the ``live`` prefixes would extend."""
+        keep: dict[tuple[int, ...], list[KV]] = {}
+        for prefix in live:
+            prefix = tuple(prefix)
+            n, entry = self.nearest(prefix)
+            if entry is not None:
+                keep[prefix[:n]] = entry
+        self.prefixes = keep
+
+
 @dataclass(frozen=True)
 class EncodedSource:
+    """Encoder output for one document, plus the decoder cache built on it."""
+
     memory: Tensor
     length: int
+    cache: DecoderCache = field(default_factory=DecoderCache, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -355,21 +394,32 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, w), b)
 
 
+def _project_kv(kv_in: Tensor, params: dict[str, Tensor], prefix: str) -> KV:
+    """Key and value rows of ``kv_in``, before the split into heads."""
+    k = _linear(kv_in, params[f"{prefix}/Wk"], params[f"{prefix}/bk"])
+    v = _linear(kv_in, params[f"{prefix}/Wv"], params[f"{prefix}/bv"])
+    return k, v
+
+
+def _detach(kv: KV) -> KV:
+    return Tensor(kv[0].data), Tensor(kv[1].data)
+
+
 def _attention(
     q_in: Tensor,
-    kv_in: Tensor,
+    k: Tensor,
+    v: Tensor,
     params: dict[str, Tensor],
     prefix: str,
     heads: int,
     mask: np.ndarray | None = None,
     capture: list[np.ndarray] | None = None,
 ) -> Tensor:
+    """Multi-head attention of the rows of ``q_in`` over projected rows ``k``/``v``."""
     d = q_in.data.shape[-1]
     dh = d // heads
-    tq, tk = q_in.data.shape[0], kv_in.data.shape[0]
+    tq, tk = q_in.data.shape[0], k.data.shape[0]
     q = _linear(q_in, params[f"{prefix}/Wq"], params[f"{prefix}/bq"])
-    k = _linear(kv_in, params[f"{prefix}/Wk"], params[f"{prefix}/bk"])
-    v = _linear(kv_in, params[f"{prefix}/Wv"], params[f"{prefix}/bv"])
     q = ad.transpose(ad.reshape(q, (tq, heads, dh)), (1, 0, 2))
     k = ad.transpose(ad.reshape(k, (tk, heads, dh)), (1, 0, 2))
     v = ad.transpose(ad.reshape(v, (tk, heads, dh)), (1, 0, 2))
@@ -389,8 +439,9 @@ def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return _linear(h, params[f"{prefix}/W2"], params[f"{prefix}/b2"])
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), -1e9), k=1)
+def _causal_mask(t: int, start: int = 0) -> np.ndarray:
+    """Mask for query rows start..t-1 over key rows 0..t-1."""
+    return np.triu(np.full((t - start, t), -1e9), k=1 + start)
 
 
 def compose_encoder_input(
@@ -430,7 +481,8 @@ def encode_source(
     x = compose_encoder_input(src, prompts, backbone, config)
     for i in range(dims.layers):
         h = ad.layer_norm(x, p[f"enc{i}/ln1/gamma"], p[f"enc{i}/ln1/beta"])
-        x = ad.add(x, _attention(h, h, p, f"enc{i}/self", dims.heads))
+        k, v = _project_kv(h, p, f"enc{i}/self")
+        x = ad.add(x, _attention(h, k, v, p, f"enc{i}/self", dims.heads))
         h = ad.layer_norm(x, p[f"enc{i}/ln2/gamma"], p[f"enc{i}/ln2/beta"])
         x = ad.add(x, _ffn(h, p, f"enc{i}/ffn"))
     memory = ad.layer_norm(x, p["enc/ln/gamma"], p["enc/ln/beta"])
@@ -444,40 +496,69 @@ def decode_logits(
     enc: EncodedSource,
     tgt_prefix,
     capture_attention: bool = False,
+    cache: DecoderCache | None = None,
 ) -> tuple[Tensor, list[np.ndarray] | None]:
     """Run the decoder on [P_de ; BOS ; tgt_prefix].
 
-    Returns logits for the len(tgt_prefix) + 1 positions that predict target
-    tokens, plus per-layer cross-attention probabilities when requested.
+    Without a cache this is the teacher-forced pass: it returns logits for
+    the len(tgt_prefix) + 1 positions that predict target tokens, plus
+    per-layer cross-attention probabilities when requested. With a cache
+    (the one on ``enc``), only the rows after the longest cached proper
+    prefix of ``tgt_prefix`` are computed, logits come back for those rows
+    alone (the last predicts the token after ``tgt_prefix``), and the
+    self-attention K/V of the whole prefix is stored for its extensions.
     """
     dims = backbone.dims
     p = backbone.params
     len_de = config.effective_len_de
-    prefix = list(tgt_prefix)
+    prefix = tuple(tgt_prefix)
     t_dec = len_de + 1 + len(prefix)
     if t_dec > dims.max_pos:
         raise LengthOverflowError(f"decoder length {t_dec} exceeds max_pos {dims.max_pos}")
 
-    ids = np.asarray([BOS_ID] + prefix, dtype=np.int64)
-    tok = ad.take_rows(backbone.embed, ids)
-    pos = ad.take_rows(backbone.pos, np.arange(len_de, t_dec))
+    past = None
+    if cache is not None:
+        n, past = cache.nearest(prefix)
+        if cache.cross is None:
+            cache.cross = [
+                _detach(_project_kv(enc.memory, p, f"dec{i}/cross")) for i in range(dims.layers)
+            ]
+        cross = cache.cross
+    else:
+        cross = [_project_kv(enc.memory, p, f"dec{i}/cross") for i in range(dims.layers)]
+    # Rows start..t_dec-1 are computed; cached entries always cover P_de and BOS.
+    start = 0 if past is None else len_de + 1 + n
+
+    ids = np.asarray((BOS_ID,) + prefix, dtype=np.int64)
+    first = max(start - len_de, 0)
+    tok = ad.take_rows(backbone.embed, ids[first:])
+    pos = ad.take_rows(backbone.pos, np.arange(len_de + first, t_dec))
     x = ad.add(tok, pos)
-    if len_de > 0:
+    if start == 0 and len_de > 0:
         pd = ad.add(prompts.p_de, ad.take_rows(backbone.pos, np.arange(len_de)))
         x = ad.concat_rows([pd, x])
 
-    mask = _causal_mask(t_dec)
+    mask = _causal_mask(t_dec, start)
     capture: list[np.ndarray] | None = [] if capture_attention else None
+    entry: list[KV] = []
     for i in range(dims.layers):
         h = ad.layer_norm(x, p[f"dec{i}/ln1/gamma"], p[f"dec{i}/ln1/beta"])
-        x = ad.add(x, _attention(h, h, p, f"dec{i}/self", dims.heads, mask=mask))
+        k, v = _project_kv(h, p, f"dec{i}/self")
+        if past is not None:
+            k = ad.concat_rows([past[i][0], k])
+            v = ad.concat_rows([past[i][1], v])
+        entry.append((k, v))
+        x = ad.add(x, _attention(h, k, v, p, f"dec{i}/self", dims.heads, mask=mask))
         h = ad.layer_norm(x, p[f"dec{i}/ln2/gamma"], p[f"dec{i}/ln2/beta"])
-        x = ad.add(x, _attention(h, enc.memory, p, f"dec{i}/cross", dims.heads, capture=capture))
+        ck, cv = cross[i]
+        x = ad.add(x, _attention(h, ck, cv, p, f"dec{i}/cross", dims.heads, capture=capture))
         h = ad.layer_norm(x, p[f"dec{i}/ln3/gamma"], p[f"dec{i}/ln3/beta"])
         x = ad.add(x, _ffn(h, p, f"dec{i}/ffn"))
     x = ad.layer_norm(x, p["dec/ln/gamma"], p["dec/ln/beta"])
+    if cache is not None:
+        cache.prefixes[prefix] = [_detach(kv) for kv in entry]
 
-    predict = ad.take_rows(x, np.arange(len_de, t_dec))
+    predict = ad.take_rows(x, np.arange(max(len_de, start) - start, t_dec - start))
     logits = ad.matmul(predict, ad.transpose(backbone.embed, (1, 0)))
     return logits, capture
 
@@ -566,37 +647,51 @@ def save_checkpoint(path, backbone: BackboneParams, prompts: PromptSet) -> None:
 
 
 def load_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
-    """Rebuild backbone and prompts, rejecting any dimension mismatch."""
+    """Rebuild backbone and prompts, rejecting any dimension mismatch.
+
+    A damaged file (not a zip, truncated, corrupt member) or malformed
+    metadata raises ``CheckpointError`` naming the path.
+    """
+    try:
+        return _read_checkpoint(path)
+    except (zipfile.BadZipFile, EOFError, zlib.error) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
+
+
+def _read_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
     with np.load(path, allow_pickle=False) as npz:
         try:
             meta = json.loads(str(npz["__meta__"]))
         except KeyError as exc:
             raise CheckpointError(f"{path}: missing metadata header") from exc
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: malformed metadata header")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {meta.get('version')}")
-        dims = ModelDims(**meta["dims"])
-        config = PromptConfig(**meta["prompt_config"])
+        try:
+            dims = ModelDims(**meta["dims"])
+            config = PromptConfig(**meta["prompt_config"])
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed metadata: {exc}") from exc
 
-        params: dict[str, Tensor] = {}
-        for name, shape in _backbone_shapes(dims).items():
-            key = f"backbone/{name}"
+        def tensor(key: str, shape: tuple[int, ...]) -> np.ndarray:
             if key not in npz:
                 raise CheckpointError(f"{path}: missing tensor {key}")
             data = npz[key]
             if data.shape != shape:
                 raise CheckpointError(f"{path}: {key} has shape {data.shape}, expected {shape}")
-            params[name] = Tensor(data, requires_grad=True)
+            return data
+
+        params = {
+            name: Tensor(tensor(f"backbone/{name}", shape), requires_grad=True)
+            for name, shape in _backbone_shapes(dims).items()
+        }
         backbone = BackboneParams(dims, params)
         if meta.get("frozen"):
             backbone.freeze()
 
         def prompt_tensor(key: str, rows: int) -> Tensor:
-            data = npz[key]
-            if data.shape != (rows, dims.d):
-                raise CheckpointError(
-                    f"{path}: {key} has shape {data.shape}, expected {(rows, dims.d)}"
-                )
-            return Tensor(data, requires_grad=rows > 0)
+            return Tensor(tensor(key, (rows, dims.d)), requires_grad=rows > 0)
 
         p_en = prompt_tensor("prompts/P_en", config.effective_len_en)
         if config.shared and not config.encoder_only and not config.decoder_only:
@@ -605,7 +700,5 @@ def load_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
             p_de = prompt_tensor("prompts/P_de", config.effective_len_de)
         p_in = None
         if config.inner_rows > 0:
-            if "prompts/P_in" not in npz:
-                raise CheckpointError(f"{path}: missing tensor prompts/P_in")
             p_in = prompt_tensor("prompts/P_in", config.inner_rows)
     return backbone, PromptSet(p_en, p_de, p_in, config)
