@@ -67,7 +67,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into the tensors that require one.
+
+        Only tensors with ``requires_grad`` receive a gradient; subgraphs that
+        do not require one are never visited. Each intermediate tensor's
+        ``.grad`` is released once its closure has used it, so after the call
+        only leaves hold gradients. The graph itself is left intact.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
 
@@ -85,17 +91,17 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is None or node.grad is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None:
-                    continue
-                if parent.requires_grad or parent._parents:
+            grads = node._backward(node.grad)
+            node.grad = None
+            for parent, g in zip(node._parents, grads):
+                if g is not None and parent.requires_grad:
                     parent.grad = g if parent.grad is None else parent.grad + g
 
 
@@ -122,7 +128,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
 
     return Tensor(out_data, _needs_grad(a, b), (a, b), backward)
 
@@ -133,8 +142,8 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
     return Tensor(out_data, _needs_grad(a, b), (a, b), backward)
@@ -152,7 +161,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+        return (
+            g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+            np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None,
+        )
 
     return Tensor(out_data, _needs_grad(a, b), (a, b), backward)
 
@@ -212,14 +224,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     lead_axes = tuple(range(out_data.ndim - 1))
 
     def backward(g):
-        dgamma = (g * xhat).sum(axis=lead_axes)
-        dbeta = g.sum(axis=lead_axes)
-        dxhat = g * gamma.data
-        dx = inv_std * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = None
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            dx = inv_std * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+        dgamma = (g * xhat).sum(axis=lead_axes) if gamma.requires_grad else None
+        dbeta = g.sum(axis=lead_axes) if beta.requires_grad else None
         return dx, dgamma, dbeta
 
     return Tensor(out_data, _needs_grad(x, gamma, beta), (x, gamma, beta), backward)
@@ -276,15 +290,14 @@ def cross_entropy_sum(
     n = int(mask.sum())
 
     m = logits.data.max(axis=-1, keepdims=True)
-    z = logits.data - m
-    lse = m[:, 0] + np.log(np.exp(z).sum(axis=-1))
+    e = np.exp(logits.data - m)
+    lse = m[:, 0] + np.log(e.sum(axis=-1))
     rows = np.arange(targets.shape[0])
     nll = lse - logits.data[rows, targets]
     out_data = np.array(nll[mask].sum())
 
     def backward(g):
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = e / e.sum(axis=-1, keepdims=True)
         p[rows, targets] -= 1.0
         p[~mask] = 0.0
         return (p * g,)

@@ -25,6 +25,7 @@ from .corpus import (
     EmptyDocumentError,
     ParseError,
     Vocab,
+    atomic_open,
     build_vocab,
     detokenize,
     encode_document,
@@ -104,15 +105,8 @@ def load_config_file(path) -> dict:
 
 
 def shipped_defaults() -> dict:
-    with resources.files("promptsum").joinpath("defaults.cfg").open("r") as fh:
-        text = fh.read()
-    cfg: dict = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line and "=" in line:
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = _parse_value(value)
-    return cfg
+    with resources.as_file(resources.files("promptsum") / "defaults.cfg") as path:
+        return load_config_file(path)
 
 
 # Flags that overlay config-file keys when given on the command line.
@@ -481,7 +475,7 @@ def _evaluate_checkpoint(args, cfg: dict) -> int:
         "n_examples": report.n_examples,
         "fingerprint": report.fingerprint,
     }
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(args.out, "report.json")) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     print(

@@ -8,8 +8,10 @@ inner-prompt machinery indexes tokens by sentence.
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,6 +253,26 @@ def read_records(path):
             if not isinstance(record, dict):
                 raise ParseError(f"{path}: line {lineno}: record must be a JSON object")
             yield lineno, record
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write ``path`` all at once or not at all.
+
+    Yields a file opened on a temporary file beside ``path``. On a clean exit
+    the file is synced and moved over ``path`` with ``os.replace``; on an
+    error it is deleted and ``path`` keeps its earlier contents.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> list[SummaryPair]:

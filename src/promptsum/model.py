@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import BOS_ID, Document
+from .corpus import BOS_ID, Document, atomic_open
 
 STRATEGIES = ("none", "interval", "sequential", "fixed_k")
 
@@ -632,6 +633,8 @@ CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(path, backbone: BackboneParams, prompts: PromptSet) -> None:
+    """Write an ``.npz`` checkpoint (suffix added if missing), replacing any
+    earlier file only once the new one is complete."""
     arrays = {f"backbone/{name}": t.data for name, t in backbone.params.items()}
     arrays["prompts/P_en"] = prompts.p_en.data
     arrays["prompts/P_de"] = prompts.p_de.data
@@ -643,7 +646,11 @@ def save_checkpoint(path, backbone: BackboneParams, prompts: PromptSet) -> None:
         "prompt_config": asdict(prompts.config),
         "frozen": backbone.frozen,
     }
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(path) -> tuple[BackboneParams, PromptSet]:

@@ -8,6 +8,7 @@ is fully deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -146,7 +147,13 @@ def train_step(
     The accumulated gradient is the mean of the micro-batch gradients, each a
     token-mean, so accumulation over identical micro-batches matches a single
     doubled batch.
+
+    Appends to ``state.loss_history`` the step, learning rate and mean chunk
+    loss, plus ``wall_s`` (the step's wall time), ``tokens`` (non-PAD target
+    positions over all chunks) and ``grad_norm`` (global L2 norm of the
+    accumulated gradients of the trainable tensors, before the update).
     """
+    start = time.perf_counter()
     if not batch:
         raise ValueError("empty batch")
     if config.mode == "prompt_only" and not backbone.frozen:
@@ -165,9 +172,11 @@ def train_step(
     pconfig = state.prompts.config
     chunks = _chunk(batch, config.grad_accum)
     losses = []
+    tokens = 0
     for chunk in chunks:
-        loss, _ = batch_mean_nll(backbone, state.prompts, pconfig, chunk)
+        loss, n_tokens = batch_mean_nll(backbone, state.prompts, pconfig, chunk)
         losses.append(float(loss.data))
+        tokens += n_tokens
         ad.scale(loss, 1.0 / len(chunks)).backward()
     mean_loss = float(np.mean(losses))
     if not math.isfinite(mean_loss):
@@ -175,10 +184,16 @@ def train_step(
             f"non-finite loss at step {state.step + 1} (chunk losses: {losses})"
         )
 
+    grads = {
+        name: t.grad if t.grad is not None else np.zeros_like(t.data)
+        for name, t in tensors.items()
+    }
+    grad_norm = float(np.sqrt(sum((g * g).sum() for g in grads.values())))
+
     state.step += 1
     lr = noam_lr(state.step, config.warmup_steps, config.peak_lr)
     for name, t in tensors.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        g = grads[name]
         m, v = state.moments[name]
         m *= config.beta1
         m += (1.0 - config.beta1) * g
@@ -188,7 +203,16 @@ def train_step(
         v_hat = v / (1.0 - config.beta2**state.step)
         t.data -= lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
 
-    state.loss_history.append({"step": state.step, "lr": lr, "loss": mean_loss})
+    state.loss_history.append(
+        {
+            "step": state.step,
+            "lr": lr,
+            "loss": mean_loss,
+            "wall_s": time.perf_counter() - start,
+            "tokens": tokens,
+            "grad_norm": grad_norm,
+        }
+    )
     return state, mean_loss
 
 

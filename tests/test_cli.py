@@ -143,6 +143,12 @@ class TestConfig:
         assert manifest["config"]["beam"] == 2
         assert manifest["config"]["seed"] == 5
 
+    def test_shipped_defaults_match_the_file_parser(self):
+        from importlib import resources
+
+        with resources.as_file(resources.files("promptsum") / "defaults.cfg") as path:
+            assert shipped_defaults() == load_config_file(path)
+
     def test_malformed_config_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("beam 2\n")
@@ -211,6 +217,16 @@ class TestTrainingCommands:
         assert os.path.exists(ckpt)
         log = [json.loads(l) for l in open(corpus_dir / "ckpt" / "train_log.jsonl")]
         assert log and {"step", "lr", "loss"} <= set(log[0])
+
+    def test_train_log_records_step_telemetry(self, corpus_dir):
+        _build_pseudo(corpus_dir)
+        _pretrain(corpus_dir, epochs="1")
+        log = [json.loads(l) for l in open(corpus_dir / "ckpt" / "train_log.jsonl")]
+        assert log
+        for entry in log:
+            assert entry["wall_s"] > 0
+            assert entry["tokens"] > 0
+            assert entry["grad_norm"] > 0
 
     def test_epochs_zero_gives_untrained_checkpoint(self, corpus_dir):
         _build_pseudo(corpus_dir)

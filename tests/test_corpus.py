@@ -17,6 +17,7 @@ from promptsum.corpus import (
     ParseError,
     SummaryPair,
     UNK_ID,
+    atomic_open,
     build_vocab,
     detokenize,
     encode_document,
@@ -261,3 +262,18 @@ def test_sentence_lengths_property():
         sents = [[int(v) for v in rng.integers(4, 20, size=rng.integers(1, 7))] for _ in range(n)]
         doc = make_doc(*sents)
         assert sum(doc.sentence_lengths()) == doc.flat_length
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("half of a new")
+            raise RuntimeError("write failed")
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

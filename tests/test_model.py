@@ -391,6 +391,29 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="P_in"):
             load_checkpoint(tmp_path / "bad.npz")
 
+    def test_suffix_added_when_missing(self, tmp_path):
+        backbone, prompts, _ = tiny_model()
+        save_checkpoint(tmp_path / "ckpt", backbone, prompts)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
+        assert load_checkpoint(tmp_path / "ckpt.npz")[0].checksum() == backbone.checksum()
+
+    def test_failed_save_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        backbone, prompts, _ = tiny_model()
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(path, backbone, prompts)
+        before = path.read_bytes()
+
+        def savez_then_fail(file, *args, **kwargs):
+            file.write(b"PK\x03\x04 partial archive")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        prompts.p_en.data += 1.0
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, backbone, prompts)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.npz"]
+
     def test_training_resumes_identically_after_reload(self, tmp_path):
         from promptsum.training import TrainConfig, init_train_state, train_step
         from promptsum.corpus import SummaryPair

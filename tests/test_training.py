@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from promptsum import autodiff as ad
 from promptsum.corpus import EOS_ID, PAD_ID
 from promptsum.model import PromptConfig, forward, init_prompts
 from promptsum.training import (
     TrainConfig,
     TrainState,
     TrainingDivergedError,
+    _chunk,
     batch_mean_nll,
     grad_check,
     init_train_state,
@@ -213,6 +217,110 @@ class TestTrainStep:
             return losses
 
         assert run() == run()
+
+
+    def test_loss_history_records_tokens_and_grad_norm(self):
+        backbone, prompts, _ = tiny_model()
+        backbone.freeze()
+        config = _quick_config(grad_accum=2)
+        state = init_train_state(prompts, backbone, config)
+        doc = make_doc([4, 5, 6], [7, 8])
+        batch = [make_pair(doc, [9, PAD_ID, 10]), make_pair(doc, [11]), make_pair(doc, [PAD_ID, 12])]
+        hand_count = 3 + 2 + 2  # non-PAD targets, EOS included
+        state, loss = train_step(state, backbone, batch, config)
+        entry = state.loss_history[-1]
+        assert (entry["step"], entry["loss"]) == (1, loss)
+        assert entry["tokens"] == hand_count
+        grads = [
+            t.grad if t.grad is not None else np.zeros_like(t.data)
+            for t in trainable_tensors(backbone, prompts, config.mode).values()
+        ]
+        assert entry["grad_norm"] == np.sqrt(sum((g * g).sum() for g in grads))
+        assert entry["grad_norm"] > 0
+        assert entry["wall_s"] > 0
+
+
+def _graph(root):
+    """Every tensor reachable from ``root`` through parent links."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@st.composite
+def _lean_cases(draw):
+    vocab = draw(st.integers(8, 14))
+    len_en = draw(st.integers(0, 3))
+    shared = draw(st.booleans())
+    model = dict(
+        seed=draw(st.integers(0, 10_000)),
+        vocab=vocab,
+        d=draw(st.sampled_from([8, 16])),
+        layers=draw(st.integers(1, 2)),
+        len_en=len_en,
+        len_de=len_en if shared else draw(st.integers(0, 3)),
+        shared=shared,
+        strategy=draw(st.sampled_from(["none", "interval", "sequential"])),
+    )
+    words = st.lists(st.integers(4, vocab - 1), min_size=1, max_size=4)
+    pair = st.builds(lambda doc, summary: make_pair(make_doc(*doc), summary), st.lists(words, min_size=1, max_size=3), words)
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
+    return model, pairs, draw(st.integers(1, len(pairs)))
+
+
+class TestLeanBackward:
+    """The frozen-backbone backward against the same graph with every leaf
+    unfrozen, where every closure computes every parent's gradient."""
+
+    @staticmethod
+    def _accumulate(backbone, prompts, config, chunks):
+        """train_step's gradient accumulation; returns chunk losses and roots."""
+        for t in list(prompts.named_tensors().values()) + list(backbone.params.values()):
+            t.zero_grad()
+        losses, roots = [], []
+        for chunk in chunks:
+            loss, _ = batch_mean_nll(backbone, prompts, config, chunk)
+            root = ad.scale(loss, 1.0 / len(chunks))
+            root.backward()
+            losses.append(loss.data.tobytes())
+            roots.append(root)
+        grads = {n: None if t.grad is None else t.grad.copy() for n, t in prompts.named_tensors().items()}
+        return losses, roots, grads
+
+    @settings(max_examples=30, deadline=None)
+    @given(_lean_cases())
+    def test_frozen_matches_unfrozen_bitwise(self, case):
+        model, pairs, grad_accum = case
+        backbone, prompts, config = tiny_model(**model)
+        chunks = _chunk(pairs, grad_accum)
+
+        backbone.unfreeze()
+        ref_losses, ref_roots, ref_grads = self._accumulate(backbone, prompts, config, chunks)
+        backbone.freeze()
+        losses, roots, grads = self._accumulate(backbone, prompts, config, chunks)
+
+        assert losses == ref_losses
+        for name, g in grads.items():
+            assert (g is None) == (ref_grads[name] is None), name
+            if g is not None:
+                assert g.tobytes() == ref_grads[name].tobytes(), name
+        assert all(t.grad is None for t in backbone.params.values())
+        for root in roots + ref_roots:
+            for node in _graph(root):
+                if node._parents:
+                    assert node.grad is None
+
+        # each chunk's backward adds into what the earlier chunks left
+        per_chunk = [self._accumulate(backbone, prompts, config, [c])[2] for c in chunks]
+        for name, g in grads.items():
+            if g is not None:
+                expected = sum(p[name] for p in per_chunk) / len(chunks)
+                np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestTrainableTensors:
