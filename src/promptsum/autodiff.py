@@ -157,13 +157,13 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports stacked (batched) operands of equal batch shape."""
+    """Matrix product over the last two axes; leading (batch) axes broadcast."""
     out_data = a.data @ b.data
 
     def backward(g):
         return (
-            g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
-            np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None,
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape) if a.requires_grad else None,
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None,
         )
 
     return Tensor(out_data, _needs_grad(a, b), (a, b), backward)
@@ -188,15 +188,31 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Concatenate along axis 0. Zero-row parts are fine."""
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    """Concatenate along axis -2; leading (batch) axes broadcast. Zero-row parts are fine."""
+    lead = np.broadcast_shapes(*(p.data.shape[:-2] for p in parts))
+    out_data = np.concatenate(
+        [np.broadcast_to(p.data, lead + p.data.shape[-2:]) for p in parts], axis=-2
+    )
+    offsets = np.cumsum([0] + [p.data.shape[-2] for p in parts])
 
     def backward(g):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
+        return tuple(
+            _unbroadcast(g[..., offsets[i] : offsets[i + 1], :], p.data.shape)
+            for i, p in enumerate(parts)
+        )
 
     return Tensor(out_data, _needs_grad(*parts), tuple(parts), backward)
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 along axis -2."""
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[..., start:stop, :] += g
+        return (ga,)
+
+    return Tensor(a.data[..., start:stop, :], a.requires_grad, (a,), backward)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:

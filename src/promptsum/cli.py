@@ -3,8 +3,9 @@ pre-training, few-shot fine-tuning, generation, evaluation, attention probing,
 and the ablation grid.
 
 Every run writes a manifest (command, resolved config, seeds, paths) into its
-output directory before doing any work, and holds a lock file so one run owns
-the directory at a time.
+output directory before doing any work and rewrites it on exit with the
+finish time, duration and status. A lock file holding the run's pid makes one
+run own the directory at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -155,15 +157,46 @@ def resolve_config(args) -> dict:
 # --------------------------------------------------------------------------
 
 
+def _stale_lock_pid(lock: str) -> int | None:
+    """The pid written in ``lock`` when no process with that pid is running."""
+    try:
+        with open(lock, encoding="utf-8") as fh:
+            pid = int(fh.read())
+        if pid < 1:
+            return None
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError, OverflowError):
+        pass  # unreadable, not a pid, or a live process of another user
+    return None
+
+
+def _write_json(path, payload) -> None:
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 @contextmanager
 def _run(out_dir, command: str, cfg: dict, inputs: dict, outputs: list[str], argv=None):
     os.makedirs(out_dir, exist_ok=True)
     lock = os.path.join(out_dir, ".lock")
     try:
-        fd = open(lock, "x")
+        fd = open(lock, "x", encoding="utf-8")
     except FileExistsError:
+        pid = _stale_lock_pid(lock)
+        if pid is not None:
+            raise CliError(
+                f"output directory {out_dir} has a stale lock: run {pid} is not running; "
+                f"remove {lock} to reuse the directory"
+            ) from None
         raise CliError(f"output directory {out_dir} is locked by another run") from None
     try:
+        fd.write(f"{os.getpid()}\n")
+        fd.flush()
+        started = time.perf_counter()
+        path = os.path.join(out_dir, "manifest.json")
         manifest = {
             "command": command,
             "argv": list(argv) if argv is not None else None,
@@ -173,17 +206,24 @@ def _run(out_dir, command: str, cfg: dict, inputs: dict, outputs: list[str], arg
             "version": __version__,
             "started_utc": datetime.now(timezone.utc).isoformat(),
         }
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        yield
+        _write_json(path, manifest)
+        manifest.update(status="ok", error=None)
+        try:
+            yield
+        except BaseException as exc:
+            manifest.update(status="error", error=str(exc) or type(exc).__name__)
+            raise
+        finally:
+            manifest["finished_utc"] = datetime.now(timezone.utc).isoformat()
+            manifest["duration_s"] = time.perf_counter() - started
+            _write_json(path, manifest)
     finally:
         fd.close()
         os.unlink(lock)
 
 
 def _write_train_log(out_dir, history: list[dict]) -> None:
-    with open(os.path.join(out_dir, "train_log.jsonl"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "train_log.jsonl")) as fh:
         for entry in history:
             fh.write(json.dumps(entry) + "\n")
 

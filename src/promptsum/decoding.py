@@ -8,7 +8,8 @@ deterministic.
 
 Decoding is incremental: each step runs only the new decoder row of each
 hypothesis, against the K/V rows its parent left in the document's
-``DecoderCache`` (see ``model.decode_logits``).
+``DecoderCache`` (see ``model.decode_logits``). A beam step runs the new rows
+of all live hypotheses in one batched decoder call.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ class Generation(list):
         self.logp = logp
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    z = row - row.max()
-    return z - np.log(np.exp(z).sum())
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis."""
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _next_logprobs(
@@ -58,8 +60,29 @@ def _next_logprobs(
     enc: EncodedSource,
     prefix,
 ) -> np.ndarray:
+    """Log-probabilities of the token after ``prefix``.
+
+    A row the current beam step scored (``_score_step``) is returned as it
+    is; otherwise the decoder runs for ``prefix`` on the document's cache.
+    """
+    row = enc.cache.scored.get(tuple(prefix))
+    if row is not None:
+        return row
     logits, _ = decode_logits(backbone, prompts, config, enc, prefix, cache=enc.cache)
     return _log_softmax(logits.data[-1])
+
+
+def _score_step(
+    backbone: BackboneParams,
+    prompts: PromptSet,
+    config: PromptConfig,
+    enc: EncodedSource,
+    prefixes: list[tuple[int, ...]],
+) -> None:
+    """Score the equal-length ``prefixes`` in one batched decoder call and keep
+    their rows in ``enc.cache.scored`` for ``_next_logprobs``."""
+    logits, _ = decode_logits(backbone, prompts, config, enc, prefixes, cache=enc.cache)
+    enc.cache.scored.update(zip(prefixes, _log_softmax(logits.data[:, -1])))
 
 
 def _check_lengths(backbone: BackboneParams, config: PromptConfig, max_len: int) -> None:
@@ -124,6 +147,8 @@ def beam_search(
         return not hyp.finished and len(hyp.ids) < max_len
 
     while any(extendable(h) for h in beams):
+        # Every live hypothesis has the same length, so one call scores them all.
+        _score_step(backbone, prompts, config, enc, [h.ids for h in beams if extendable(h)])
         # Candidates as parallel arrays: cumulative log-probability, last
         # token id and parent beam slot. A closed hypothesis competes as
         # itself. Sorting on (-score, token, slot) implements "lower token

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import EOS_ID, Document, SummaryPair, Vocab, detokenize
+from .corpus import EOS_ID, Document, SummaryPair, Vocab, atomic_open, detokenize
 from .decoding import beam_search
 from .model import (
     AttentionRecord,
     BackboneParams,
+    LengthOverflowError,
     PromptConfig,
     PromptSet,
     decode_logits,
@@ -63,7 +64,17 @@ def generate_predictions(
     decode_fn=None,
     vocab: Vocab | None = None,
 ) -> list[dict]:
-    """Decode every test pair and score it; one record per pair."""
+    """Decode every test pair and score it; one record per pair.
+
+    Every document's encoder length is checked before the first is decoded.
+    """
+    for i, pair in enumerate(test):
+        rows = config.effective_len_en + pair.document.flat_length
+        if rows > backbone.dims.max_pos:
+            raise LengthOverflowError(
+                f"test document {i}: encoder length {rows} (len_en {config.effective_len_en} "
+                f"+ {pair.document.flat_length} source tokens) exceeds max_pos {backbone.dims.max_pos}"
+            )
     decode = decode_fn or (
         lambda pair: beam_search(backbone, prompts, config, pair.document, beam, max_len)
     )
@@ -168,7 +179,8 @@ def evaluate(
 
 
 def write_predictions(path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """One JSON line per record, replacing any earlier file only once complete."""
+    with atomic_open(path) as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
 

@@ -203,11 +203,14 @@ class DecoderCache:
 
     ``cross`` holds each layer's cross-attention K/V of the encoder memory,
     projected on first use. ``prefixes`` maps a target prefix to each layer's
-    self-attention K/V over the rows [P_de ; BOS ; prefix].
+    self-attention K/V over the rows [P_de ; BOS ; prefix]. ``scored`` maps a
+    prefix to the next-token log-probabilities a batched beam step computed
+    for it; ``retain`` drops them.
     """
 
     cross: list[KV] | None = None
     prefixes: dict[tuple[int, ...], list[KV]] = field(default_factory=dict)
+    scored: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
 
     def nearest(self, prefix: tuple[int, ...]) -> tuple[int, list[KV] | None]:
         """The longest cached proper prefix of ``prefix``: (its length, its K/V)."""
@@ -226,6 +229,7 @@ class DecoderCache:
             if entry is not None:
                 keep[prefix[:n]] = entry
         self.prefixes = keep
+        self.scored = {}
 
 
 @dataclass(frozen=True)
@@ -406,6 +410,18 @@ def _detach(kv: KV) -> KV:
     return Tensor(kv[0].data), Tensor(kv[1].data)
 
 
+def _swap_axes(x: Tensor, a: int, b: int) -> Tensor:
+    """``x`` with axes ``a`` and ``b`` swapped; any axes before them are kept."""
+    axes = list(range(x.data.ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return ad.transpose(x, tuple(axes))
+
+
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    """[..., t, d] -> [..., heads, t, d // heads]."""
+    return _swap_axes(ad.reshape(x, x.data.shape[:-1] + (heads, x.data.shape[-1] // heads)), -3, -2)
+
+
 def _attention(
     q_in: Tensor,
     k: Tensor,
@@ -416,22 +432,22 @@ def _attention(
     mask: np.ndarray | None = None,
     capture: list[np.ndarray] | None = None,
 ) -> Tensor:
-    """Multi-head attention of the rows of ``q_in`` over projected rows ``k``/``v``."""
-    d = q_in.data.shape[-1]
-    dh = d // heads
-    tq, tk = q_in.data.shape[0], k.data.shape[0]
-    q = _linear(q_in, params[f"{prefix}/Wq"], params[f"{prefix}/bq"])
-    q = ad.transpose(ad.reshape(q, (tq, heads, dh)), (1, 0, 2))
-    k = ad.transpose(ad.reshape(k, (tk, heads, dh)), (1, 0, 2))
-    v = ad.transpose(ad.reshape(v, (tk, heads, dh)), (1, 0, 2))
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    """Multi-head attention of the rows of ``q_in`` over projected rows ``k``/``v``.
+
+    Axes before the last two are batch axes. ``k``/``v`` carry the same ones,
+    or none, in which case every batch row attends to the same keys.
+    """
+    dh = q_in.data.shape[-1] // heads
+    q = _split_heads(_linear(q_in, params[f"{prefix}/Wq"], params[f"{prefix}/bq"]), heads)
+    k, v = _split_heads(k, heads), _split_heads(v, heads)
+    scores = ad.scale(ad.matmul(q, _swap_axes(k, -2, -1)), 1.0 / math.sqrt(dh))
     if mask is not None:
         scores = ad.add(scores, mask)
     probs = ad.softmax(scores)
     if capture is not None:
         capture.append(probs.data.copy())
     out = ad.matmul(probs, v)
-    out = ad.reshape(ad.transpose(out, (1, 0, 2)), (tq, d))
+    out = ad.reshape(_swap_axes(out, -3, -2), q_in.data.shape)
     return _linear(out, params[f"{prefix}/Wo"], params[f"{prefix}/bo"])
 
 
@@ -508,18 +524,38 @@ def decode_logits(
     prefix of ``tgt_prefix`` are computed, logits come back for those rows
     alone (the last predicts the token after ``tgt_prefix``), and the
     self-attention K/V of the whole prefix is stored for its extensions.
+
+    ``tgt_prefix`` may also be a list of B prefixes of one length, as the
+    live hypotheses of a beam step are. They run as one batch: every row
+    tensor gets a leading axis of B, the rows start after the shortest of
+    their cached prefixes, and the logits have shape [B, rows, vocab].
     """
     dims = backbone.dims
     p = backbone.params
     len_de = config.effective_len_de
-    prefix = tuple(tgt_prefix)
-    t_dec = len_de + 1 + len(prefix)
+    ids = np.asarray(tgt_prefix, dtype=np.int64)
+    lead = ids.shape[:-1]  # () for one prefix, (B,) for a batch
+    prefixes = [tuple(row) for row in np.atleast_2d(ids).tolist()]
+    t_dec = len_de + 1 + ids.shape[-1]
     if t_dec > dims.max_pos:
         raise LengthOverflowError(f"decoder length {t_dec} exceeds max_pos {dims.max_pos}")
 
     past = None
+    # Rows start..t_dec-1 are computed; cached entries always cover P_de and BOS.
+    start = 0
     if cache is not None:
-        n, past = cache.nearest(prefix)
+        nearest = [cache.nearest(prefix) for prefix in prefixes]
+        if all(entry is not None for _, entry in nearest):
+            # The first rows of a longer cached prefix are those of its own prefixes.
+            start = len_de + 1 + min(n for n, _ in nearest)
+            shape = lead + (start, dims.d)
+            past = [
+                tuple(
+                    Tensor(np.stack([e[i][j].data[:start] for _, e in nearest]).reshape(shape))
+                    for j in (0, 1)
+                )
+                for i in range(dims.layers)
+            ]
         if cache.cross is None:
             cache.cross = [
                 _detach(_project_kv(enc.memory, p, f"dec{i}/cross")) for i in range(dims.layers)
@@ -527,12 +563,10 @@ def decode_logits(
         cross = cache.cross
     else:
         cross = [_project_kv(enc.memory, p, f"dec{i}/cross") for i in range(dims.layers)]
-    # Rows start..t_dec-1 are computed; cached entries always cover P_de and BOS.
-    start = 0 if past is None else len_de + 1 + n
 
-    ids = np.asarray((BOS_ID,) + prefix, dtype=np.int64)
+    ids = np.concatenate([np.full(lead + (1,), BOS_ID, dtype=np.int64), ids], axis=-1)
     first = max(start - len_de, 0)
-    tok = ad.take_rows(backbone.embed, ids[first:])
+    tok = ad.take_rows(backbone.embed, ids[..., first:])
     pos = ad.take_rows(backbone.pos, np.arange(len_de + first, t_dec))
     x = ad.add(tok, pos)
     if start == 0 and len_de > 0:
@@ -557,9 +591,11 @@ def decode_logits(
         x = ad.add(x, _ffn(h, p, f"dec{i}/ffn"))
     x = ad.layer_norm(x, p["dec/ln/gamma"], p["dec/ln/beta"])
     if cache is not None:
-        cache.prefixes[prefix] = [_detach(kv) for kv in entry]
+        rows = [[t.data.reshape((len(prefixes), t_dec, dims.d)) for t in kv] for kv in entry]
+        for b, prefix in enumerate(prefixes):
+            cache.prefixes[prefix] = [(Tensor(k[b]), Tensor(v[b])) for k, v in rows]
 
-    predict = ad.take_rows(x, np.arange(max(len_de, start) - start, t_dec - start))
+    predict = ad.slice_rows(x, max(len_de - start, 0), t_dec - start)
     logits = ad.matmul(predict, ad.transpose(backbone.embed, (1, 0)))
     return logits, capture
 

@@ -296,7 +296,8 @@ def run_stage(
 ) -> TrainState:
     """Epoch loop over shuffled data; keeps the best-dev checkpoint.
 
-    After each epoch the dev set is greedy-decoded and scored with ROUGE-1 F1;
+    After each epoch the dev set is greedy-decoded and scored with ROUGE-1 F1,
+    which is appended to ``loss_history`` as ``{"epoch": n, "dev_rouge1": x}``;
     the prompts from the best epoch are restored into the returned state. With
     no dev set the final checkpoint is returned with a warning.
     """
@@ -323,7 +324,7 @@ def run_stage(
     rng = np.random.default_rng(config.seed)
     best_score = -np.inf
     best_snap: dict[str, np.ndarray] | None = None
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(len(data))
         for s in range(steps_per_epoch):
             idx = perm[s * span : (s + 1) * span]
@@ -331,6 +332,7 @@ def run_stage(
             state, _ = train_step(state, backbone, batch, step_config)
         if dev:
             score = _dev_rouge1(backbone, state.prompts, state.prompts.config, dev)
+            state.loss_history.append({"epoch": epoch, "dev_rouge1": score})
             if score > best_score:
                 best_score = score
                 best_snap = state.prompts.snapshot()

@@ -59,6 +59,13 @@ def test_matmul_gradients_2d_and_batched():
     _check_op(lambda a, b: _total(ad.matmul(a, b)), (2, 3, 4), (2, 4, 3))
 
 
+def test_matmul_gradients_with_a_broadcast_operand():
+    # A batch of rows against one shared matrix, as batched decoding uses it,
+    # and a shared matrix against a batch; the shared side sums over the batch.
+    _check_op(lambda a, b: _total(ad.matmul(a, b)), (3, 2, 1, 4), (2, 4, 5))
+    _check_op(lambda a, b: _total(ad.matmul(a, b)), (4, 3), (2, 3, 2))
+
+
 def test_transpose_reshape_gradients():
     _check_op(lambda a: _total(ad.transpose(a, (1, 0, 2))), (2, 3, 4))
     _check_op(lambda a: _total(ad.reshape(a, (6, 2))), (3, 4))
@@ -66,6 +73,19 @@ def test_transpose_reshape_gradients():
 
 def test_concat_rows_gradients():
     _check_op(lambda a, b: _total(ad.concat_rows([a, b])), (2, 3), (4, 3))
+
+
+def test_concat_rows_on_batched_rows_broadcasts_the_shared_block():
+    _check_op(lambda a, b: _total(ad.concat_rows([a, b])), (3, 2, 4), (3, 1, 4))
+    _check_op(lambda a, b: _total(ad.concat_rows([a, b])), (2, 4), (3, 1, 4))
+    shared = Tensor(np.ones((2, 4)))
+    rows = Tensor(np.zeros((3, 1, 4)))
+    assert ad.concat_rows([shared, rows]).shape == (3, 3, 4)
+
+
+def test_slice_rows_gradient():
+    _check_op(lambda a: _total(ad.slice_rows(a, 1, 3)), (4, 3))
+    _check_op(lambda a: _total(ad.slice_rows(a, 2, 5)), (2, 5, 3))
 
 
 def test_concat_rows_allows_empty_block():

@@ -94,6 +94,63 @@ class TestRunBookkeeping:
         assert rc == 1
         assert "locked" in capsys.readouterr().err
 
+    def test_manifest_records_a_finished_run(self, corpus_dir):
+        manifest = json.load(open(corpus_dir / "v" / "manifest.json"))
+        assert manifest["status"] == "ok"
+        assert manifest["error"] is None
+        assert manifest["duration_s"] >= 0
+        assert manifest["finished_utc"] >= manifest["started_utc"]
+
+    def test_manifest_records_a_failed_run(self, corpus_dir, capsys):
+        (corpus_dir / "bad.jsonl").write_text("[1, 2]\n")
+        out = corpus_dir / "failed"
+        assert dispatch(["build-vocab", "--data", str(corpus_dir / "bad.jsonl"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["status"] == "error"
+        assert err == f"error: {manifest['error']}\n"
+        assert "finished_utc" in manifest and manifest["duration_s"] >= 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_stale_lock_reported_and_kept(self, corpus_dir, capsys):
+        import subprocess
+        import sys
+
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()
+        out = corpus_dir / "stale"
+        out.mkdir()
+        (out / ".lock").write_text(f"{child.pid}\n")
+        rc = dispatch(["build-vocab", "--data", str(corpus_dir / "train.jsonl"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.strip().count("\n") == 0
+        assert "stale" in err and str(child.pid) in err and str(out / ".lock") in err
+        assert (out / ".lock").read_text() == f"{child.pid}\n"
+
+    def test_lock_of_a_live_run_is_not_stale(self, corpus_dir, capsys):
+        out = corpus_dir / "live"
+        out.mkdir()
+        (out / ".lock").write_text(f"{os.getpid()}\n")
+        rc = dispatch(["build-vocab", "--data", str(corpus_dir / "train.jsonl"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "locked by another run" in err and "stale" not in err
+
+    def test_lock_holds_the_run_pid(self, corpus_dir, monkeypatch):
+        from promptsum import cli
+
+        seen = []
+        real = cli.build_vocab
+
+        def spy(*args, **kwargs):
+            seen.append((corpus_dir / "pid" / ".lock").read_text())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_vocab", spy)
+        assert dispatch(["build-vocab", "--data", str(corpus_dir / "train.jsonl"), "--out", str(corpus_dir / "pid")]) == 0
+        assert seen == [f"{os.getpid()}\n"]
+
     def test_inputs_not_mutated(self, corpus_dir):
         before = (corpus_dir / "train.jsonl").read_bytes()
         _build_pseudo(corpus_dir)
@@ -227,6 +284,17 @@ class TestTrainingCommands:
             assert entry["wall_s"] > 0
             assert entry["tokens"] > 0
             assert entry["grad_norm"] > 0
+
+    def test_failed_log_write_keeps_earlier_log(self, tmp_path):
+        from promptsum.cli import _write_train_log
+
+        _write_train_log(tmp_path, [{"step": 1, "loss": 2.0}])
+        before = (tmp_path / "train_log.jsonl").read_bytes()
+        # The second entry cannot be serialized, so the write fails halfway.
+        with pytest.raises(TypeError):
+            _write_train_log(tmp_path, [{"step": 1, "loss": 1.5}, {"step": 2, "loss": object()}])
+        assert (tmp_path / "train_log.jsonl").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train_log.jsonl"]
 
     def test_epochs_zero_gives_untrained_checkpoint(self, corpus_dir):
         _build_pseudo(corpus_dir)

@@ -86,3 +86,14 @@ def test_decoder_overflow_fails_before_predictions(setup, capsys):
     assert "max_pos 64" in _single_error(capsys)
     assert not (setup / "out" / "predictions.jsonl").exists()
     assert _run(setup, "evaluate", setup / "ckpt.npz", ["--max-len", "60"]) == 0
+
+
+def test_encoder_overflow_fails_before_predictions(setup, capsys):
+    # len_en 4 + 12 * 6 source tokens = 76 encoder rows > max_pos 64, in the last document.
+    records = make_lead_corpus(2, seed=0)
+    records.append({"document": " ".join(["The cat sees the dog."] * 12), "summary": "The cat."})
+    write_jsonl(setup / "data.jsonl", records)
+    assert _run(setup, "evaluate", setup / "ckpt.npz", ["--max-len", "4"]) == 1
+    err = _single_error(capsys)
+    assert "test document 2" in err and "max_pos 64" in err
+    assert not (setup / "out" / "predictions.jsonl").exists()

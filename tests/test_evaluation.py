@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from promptsum import autodiff as ad
+from promptsum import decoding
 from promptsum.corpus import EOS_ID
 from promptsum.decoding import greedy_decode
 from promptsum.evaluation import (
@@ -20,7 +21,7 @@ from promptsum.evaluation import (
     read_attention,
     write_predictions,
 )
-from promptsum.model import decode_logits, encode_source
+from promptsum.model import LengthOverflowError, decode_logits, encode_source
 from promptsum.rouge import rouge_score
 from promptsum.training import nll_loss
 from promptsum.model import forward
@@ -198,3 +199,28 @@ class TestGeneratePredictions:
         )
         assert records[0]["text"] == vocab.id_to_token[4]
         assert records[0]["token_ids"] == [4, EOS_ID]
+
+
+def test_encoder_overflow_rejected_before_any_document_is_encoded(monkeypatch):
+    # len_en 3 + 61 source tokens = 64 = max_pos fits; the third document's 62 do not.
+    backbone, prompts, config = tiny_model(max_pos=64)
+    test = [make_pair(make_doc([4, 5]), [6]), make_pair(make_doc([5] * 61), [6]),
+            make_pair(make_doc([6] * 30, [7] * 32), [6])]
+
+    def unreachable(*args):
+        raise AssertionError("encoded before the length check")
+
+    monkeypatch.setattr(decoding, "encode_source", unreachable)
+    with pytest.raises(LengthOverflowError, match=r"test document 2: encoder length 65 .*max_pos 64"):
+        generate_predictions(backbone, prompts, config, test, beam=2, max_len=3)
+
+
+def test_failed_write_keeps_earlier_predictions(tmp_path):
+    path = tmp_path / "predictions.jsonl"
+    write_predictions(path, [{"id": 0, "token_ids": [4, EOS_ID]}])
+    before = path.read_bytes()
+    # The second record cannot be serialized, so the write fails halfway.
+    with pytest.raises(TypeError):
+        write_predictions(path, [{"id": 0, "token_ids": [5]}, {"id": 1, "token_ids": object()}])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["predictions.jsonl"]

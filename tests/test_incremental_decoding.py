@@ -8,10 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptsum import decoding
+from promptsum.autodiff import Tensor
 from promptsum.corpus import EOS_ID
-from promptsum.decoding import _log_softmax, _next_logprobs, beam_search, greedy_decode
+from promptsum.decoding import (
+    Generation,
+    Hypothesis,
+    _check_lengths,
+    _log_softmax,
+    _next_logprobs,
+    beam_search,
+    greedy_decode,
+)
 from promptsum.evaluation import evaluate, perplexity
-from promptsum.model import LengthOverflowError, decode_logits, encode_source
+from promptsum.model import LengthOverflowError, _attention, _causal_mask, decode_logits, encode_source
 
 from conftest import make_doc, make_pair, tiny_model
 
@@ -65,6 +74,127 @@ def reference_beam_search(backbone, prompts, config, src, beam, max_len):
     if best_finished is not None:
         return list(best_finished[0])
     return list(max(beams, key=lambda h: h[1])[0])
+
+
+def per_hypothesis_beam_search(backbone, prompts, config, src, beam, max_len):
+    """Beam search as it was before the batched step: one cached decoder call
+    per live hypothesis per step, through ``_next_logprobs``."""
+    _check_lengths(backbone, config, max_len)
+    enc = encode_source(backbone, prompts, config, src)
+    beams = [Hypothesis((), 0.0, False)]
+    best_finished = None
+
+    def extendable(hyp):
+        return not hyp.finished and len(hyp.ids) < max_len
+
+    while any(extendable(h) for h in beams):
+        scores, tokens, slots = [], [], []
+        for slot, hyp in enumerate(beams):
+            if extendable(hyp):
+                logprobs = _next_logprobs(backbone, prompts, config, enc, hyp.ids)
+                scores.append(hyp.logp + logprobs)
+                tokens.append(np.arange(len(logprobs)))
+            else:
+                scores.append(np.array([hyp.logp]))
+                tokens.append(np.array([hyp.ids[-1] if hyp.ids else -1]))
+            slots.append(np.full(len(tokens[-1]), slot))
+        score, token, slot_of = (np.concatenate(a) for a in (scores, tokens, slots))
+        if score.size > beam:
+            kth = np.partition(score, score.size - beam)[score.size - beam]
+            keep = np.flatnonzero(~(score < kth))
+            score, token, slot_of = score[keep], token[keep], slot_of[keep]
+        order = np.lexsort((slot_of, token, -score))[:beam]
+
+        chosen = []
+        for i in order:
+            parent = beams[slot_of[i]]
+            if extendable(parent):
+                tok = int(token[i])
+                parent = Hypothesis(parent.ids + (tok,), float(score[i]), tok == EOS_ID)
+            chosen.append(parent)
+        beams = chosen
+        enc.cache.retain(h.ids for h in beams if extendable(h))
+        for hyp in beams:
+            if hyp.finished and (best_finished is None or hyp.logp > best_finished.logp):
+                best_finished = hyp
+
+    best = best_finished if best_finished is not None else max(beams, key=lambda h: h.logp)
+    return Generation(best.ids, best.logp)
+
+
+class TestBatchedStep:
+    @SETTINGS
+    @given(
+        st.sampled_from([(8, 2), (8, 4), (16, 2)]),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    def test_batched_attention_is_the_per_row_attention(self, width, batch, tq, tk, shared, seed):
+        # With shared K/V (cross-attention) every batch row attends to the same
+        # keys; otherwise each row has its own, as self-attention in a beam step.
+        d, heads = width
+        backbone, _, _ = tiny_model(seed=seed, d=d, heads=heads)
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(batch, tq, d))
+        kv_shape = (tk, d) if shared else (batch, tk, d)
+        k, v = rng.normal(size=kv_shape), rng.normal(size=kv_shape)
+        mask = None if tq > tk else _causal_mask(tk, tk - tq)
+        p = backbone.params
+        out = _attention(Tensor(q), Tensor(k), Tensor(v), p, "dec0/self", heads, mask=mask)
+        assert out.shape == (batch, tq, d)
+        for b in range(batch):
+            kb, vb = (k, v) if shared else (k[b], v[b])
+            row = _attention(Tensor(q[b]), Tensor(kb), Tensor(vb), p, "dec0/self", heads, mask=mask)
+            assert out.data[b].tobytes() == row.data.tobytes()
+
+    @SETTINGS
+    @given(models(), st.sampled_from([1, 2, 4]), st.integers(1, 6))
+    def test_same_ids_and_logp_as_per_hypothesis_beam(self, model, beam, max_len):
+        (backbone, prompts, config), doc, _ = model
+        got = beam_search(backbone, prompts, config, doc, beam=beam, max_len=max_len)
+        want = per_hypothesis_beam_search(backbone, prompts, config, doc, beam, max_len)
+        assert list(got) == list(want)
+        assert got.logp.hex() == want.logp.hex()
+
+    @SETTINGS
+    @given(models(), st.sampled_from([1, 3, 4]), st.integers(1, 6))
+    def test_at_most_one_decoder_call_per_step(self, model, beam, max_len):
+        calls = []
+        real = decoding.decode_logits
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        (backbone, prompts, config), doc, _ = model
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decoding, "decode_logits", counting)
+            out = beam_search(backbone, prompts, config, doc, beam=beam, max_len=max_len)
+        assert len(calls) <= max_len
+        assert len(calls) >= len(out)
+
+    @SETTINGS
+    @given(models(), st.data())
+    def test_batch_over_mixed_cached_ancestors_matches_full_decode(self, model, data):
+        (backbone, prompts, config), doc, vocab = model
+        enc = encode_source(backbone, prompts, config, doc)
+        fresh = encode_source(backbone, prompts, config, doc)
+        tokens = st.integers(0, vocab - 1)
+        length = data.draw(st.integers(1, 4))
+        batch = data.draw(st.lists(st.tuples(*[tokens] * length), min_size=1, max_size=4))
+        # Cache some ancestors of each prefix, of different lengths, first.
+        for prefix in batch:
+            for n in sorted(data.draw(st.sets(st.integers(0, length - 1), max_size=2))):
+                _next_logprobs(backbone, prompts, config, enc, prefix[:n])
+        logits, _ = decode_logits(backbone, prompts, config, enc, batch, cache=enc.cache)
+        assert logits.shape[0] == len(batch)
+        for b, prefix in enumerate(batch):
+            full, _ = decode_logits(backbone, prompts, config, fresh, prefix)
+            np.testing.assert_allclose(logits.data[b, -1], full.data[-1], rtol=0, atol=1e-12)
+            assert prefix in enc.cache.prefixes
 
 
 class TestCachedRows:

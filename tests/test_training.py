@@ -459,6 +459,25 @@ class TestRunStage:
         # 2 epochs x 1 step each, 50% ratio -> warmup_steps 1: peak hit at step 1
         assert state.loss_history[0]["lr"] == pytest.approx(config.peak_lr)
 
+    def test_each_epoch_logs_its_dev_rouge1(self, monkeypatch):
+        from promptsum import training as tr
+
+        backbone, prompts, _ = tiny_model()
+        config = _quick_config(epochs=3, seed=4)
+        state = init_train_state(prompts, backbone, config)
+        scores = iter([0.5, 0.9, 0.2])
+        monkeypatch.setattr(tr, "_dev_rouge1", lambda b, p, c, d: next(scores))
+        state = run_stage("finetune", _pairs(4, seed=1), _pairs(2, seed=2), state, backbone, config)
+        epochs = [e for e in state.loss_history if "epoch" in e]
+        assert epochs == [
+            {"epoch": 1, "dev_rouge1": 0.5},
+            {"epoch": 2, "dev_rouge1": 0.9},
+            {"epoch": 3, "dev_rouge1": 0.2},
+        ]
+        # Each epoch line follows that epoch's two steps; step lines are unchanged.
+        assert [("epoch" in e) for e in state.loss_history] == [False, False, True] * 3
+        assert [e["step"] for e in state.loss_history if "step" in e] == [1, 2, 3, 4, 5, 6]
+
     def test_dev_selects_best_checkpoint(self):
         backbone, prompts, pconfig = tiny_model()
         config = _quick_config(epochs=3, seed=4)
