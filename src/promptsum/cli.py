@@ -42,7 +42,6 @@ from .corpus import (
 )
 from .evaluation import (
     evaluate,
-    evaluate_rouge,
     export_attention,
     generate_predictions,
     write_predictions,
@@ -597,7 +596,7 @@ def cmd_ablate(args) -> int:
             tc = _train_config(cfg, args, "finetune")
             state = init_train_state(prompts, backbone, tc)
             state = run_stage("finetune", list(split.train), list(split.dev), state, backbone, tc)
-            report = evaluate_rouge(
+            report, _ = evaluate(
                 backbone, state.prompts, config, list(split.dev), cfg["beam"], cfg["max_len"]
             )
             rows.append(
@@ -611,14 +610,14 @@ def cmd_ablate(args) -> int:
             )
             print(f"{name}: r1={report.r1_f1:.4f}")
 
-        with open(os.path.join(args.out, "ablation.tsv"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(args.out, "ablation.tsv")) as fh:
             fh.write("variant\tr1_f1\tr2_f1\trl_f1\ttrainable_params\n")
             for row in rows:
                 fh.write(
                     f"{row['variant']}\t{row['r1_f1']:.6f}\t{row['r2_f1']:.6f}\t"
                     f"{row['rl_f1']:.6f}\t{row['trainable_params']}\n"
                 )
-        with open(os.path.join(args.out, "ablation.json"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(args.out, "ablation.json")) as fh:
             json.dump(rows, fh, indent=2)
             fh.write("\n")
     return 0

@@ -6,10 +6,9 @@ finished hypothesis wins (best unfinished as fallback). Ties break toward
 the lower token id, then the earlier beam slot, so decoding is fully
 deterministic.
 
-Decoding is incremental: each step runs only the new decoder row of each
-hypothesis, against the K/V rows its parent left in the document's
-``DecoderCache`` (see ``model.decode_logits``). A beam step runs the new rows
-of all live hypotheses in one batched decoder call.
+Decoding is incremental: each step runs the new decoder row of every live
+hypothesis in one batched call, against the K/V rows its parent left in the
+document's ``DecoderCache`` at the step before (see ``model.decode_logits``).
 """
 
 from __future__ import annotations
@@ -58,31 +57,12 @@ def _next_logprobs(
     prompts: PromptSet,
     config: PromptConfig,
     enc: EncodedSource,
-    prefix,
+    prefixes,
 ) -> np.ndarray:
-    """Log-probabilities of the token after ``prefix``.
-
-    A row the current beam step scored (``_score_step``) is returned as it
-    is; otherwise the decoder runs for ``prefix`` on the document's cache.
-    """
-    row = enc.cache.scored.get(tuple(prefix))
-    if row is not None:
-        return row
-    logits, _ = decode_logits(backbone, prompts, config, enc, prefix, cache=enc.cache)
-    return _log_softmax(logits.data[-1])
-
-
-def _score_step(
-    backbone: BackboneParams,
-    prompts: PromptSet,
-    config: PromptConfig,
-    enc: EncodedSource,
-    prefixes: list[tuple[int, ...]],
-) -> None:
-    """Score the equal-length ``prefixes`` in one batched decoder call and keep
-    their rows in ``enc.cache.scored`` for ``_next_logprobs``."""
+    """Log-probabilities [B, vocab] of the token after each of the equal-length
+    ``prefixes``, from one decoder call on the document's cache."""
     logits, _ = decode_logits(backbone, prompts, config, enc, prefixes, cache=enc.cache)
-    enc.cache.scored.update(zip(prefixes, _log_softmax(logits.data[:, -1])))
+    return _log_softmax(logits.data[:, -1])
 
 
 def _check_lengths(backbone: BackboneParams, config: PromptConfig, max_len: int) -> None:
@@ -113,10 +93,8 @@ def greedy_decode(
     enc = encode_source(backbone, prompts, config, src)
     out: list[int] = []
     while len(out) < max_len:
-        logprobs = _next_logprobs(backbone, prompts, config, enc, out)
-        token = int(np.argmax(logprobs))
+        token = int(np.argmax(_next_logprobs(backbone, prompts, config, enc, [out])[0]))
         out.append(token)
-        enc.cache.retain([out])
         if token == EOS_ID:
             break
     return out
@@ -147,8 +125,10 @@ def beam_search(
         return not hyp.finished and len(hyp.ids) < max_len
 
     while any(extendable(h) for h in beams):
-        # Every live hypothesis has the same length, so one call scores them all.
-        _score_step(backbone, prompts, config, enc, [h.ids for h in beams if extendable(h)])
+        # Every live hypothesis has the same length and extends one of the
+        # last step's, so one cached call scores them all.
+        live = [h.ids for h in beams if extendable(h)]
+        rows = iter(_next_logprobs(backbone, prompts, config, enc, live))
         # Candidates as parallel arrays: cumulative log-probability, last
         # token id and parent beam slot. A closed hypothesis competes as
         # itself. Sorting on (-score, token, slot) implements "lower token
@@ -156,7 +136,7 @@ def beam_search(
         scores, tokens, slots = [], [], []
         for slot, hyp in enumerate(beams):
             if extendable(hyp):
-                logprobs = _next_logprobs(backbone, prompts, config, enc, hyp.ids)
+                logprobs = next(rows)
                 scores.append(hyp.logp + logprobs)
                 tokens.append(np.arange(len(logprobs)))
             else:
@@ -180,7 +160,6 @@ def beam_search(
                 parent = Hypothesis(parent.ids + (tok,), float(score[i]), tok == EOS_ID)
             chosen.append(parent)
         beams = chosen
-        enc.cache.retain(h.ids for h in beams if extendable(h))
         # A finished hypothesis can later be crowded out of the beam by
         # longer partial hypotheses; remember the best one ever selected.
         for hyp in beams:

@@ -61,12 +61,13 @@ def generate_predictions(
     test: list[SummaryPair],
     beam: int = 4,
     max_len: int = 256,
-    decode_fn=None,
     vocab: Vocab | None = None,
 ) -> list[dict]:
-    """Decode every test pair and score it; one record per pair.
+    """Beam-decode every test pair and score it; one record per pair.
 
-    Every document's encoder length is checked before the first is decoded.
+    A record's ``token_ids`` is the ``Generation`` itself, so it also carries
+    the winner's cumulative log-probability as ``.logp``. Every document's
+    encoder length is checked before the first is decoded.
     """
     for i, pair in enumerate(test):
         rows = config.effective_len_en + pair.document.flat_length
@@ -75,12 +76,9 @@ def generate_predictions(
                 f"test document {i}: encoder length {rows} (len_en {config.effective_len_en} "
                 f"+ {pair.document.flat_length} source tokens) exceeds max_pos {backbone.dims.max_pos}"
             )
-    decode = decode_fn or (
-        lambda pair: beam_search(backbone, prompts, config, pair.document, beam, max_len)
-    )
     records = []
     for i, pair in enumerate(test):
-        gen = list(decode(pair))
+        gen = beam_search(backbone, prompts, config, pair.document, beam, max_len)
         score = rouge_score(_strip_eos(gen), list(pair.summary_content))
         record = {
             "id": i,
@@ -93,29 +91,6 @@ def generate_predictions(
             record["text"] = detokenize(gen, vocab)
         records.append(record)
     return records
-
-
-def evaluate_rouge(
-    backbone: BackboneParams,
-    prompts: PromptSet,
-    config: PromptConfig,
-    test: list[SummaryPair],
-    beam: int = 4,
-    max_len: int = 256,
-    decode_fn=None,
-) -> EvalReport:
-    """Unweighted mean ROUGE F1 over beam-decoded test pairs."""
-    if not test:
-        raise ValueError("test set is empty")
-    records = generate_predictions(backbone, prompts, config, test, beam, max_len, decode_fn)
-    return EvalReport(
-        r1_f1=float(np.mean([r["r1"] for r in records])),
-        r2_f1=float(np.mean([r["r2"] for r in records])),
-        rl_f1=float(np.mean([r["rl"] for r in records])),
-        ppl=None,
-        n_examples=len(records),
-        fingerprint=config_fingerprint(backbone, config, beam, max_len),
-    )
 
 
 def perplexity(
@@ -156,22 +131,13 @@ def evaluate(
     """
     if not test:
         raise ValueError("test set is empty")
-    logps: list[float] = []
-
-    def decode(pair: SummaryPair) -> list[int]:
-        gen = beam_search(backbone, prompts, config, pair.document, beam, max_len)
-        logps.append(gen.logp)
-        return gen
-
-    records = generate_predictions(
-        backbone, prompts, config, test, beam, max_len, decode_fn=decode, vocab=vocab
-    )
+    records = generate_predictions(backbone, prompts, config, test, beam, max_len, vocab)
     n_tokens = sum(len(r["token_ids"]) for r in records)
     report = EvalReport(
         r1_f1=float(np.mean([r["r1"] for r in records])),
         r2_f1=float(np.mean([r["r2"] for r in records])),
         rl_f1=float(np.mean([r["rl"] for r in records])),
-        ppl=math.exp(-sum(logps) / n_tokens),
+        ppl=math.exp(-sum(r["token_ids"].logp for r in records) / n_tokens),
         n_examples=len(records),
         fingerprint=config_fingerprint(backbone, config, beam, max_len),
     )
@@ -210,7 +176,7 @@ def export_attention(
         "row_labels": list(record.row_labels),
         "col_labels": list(record.col_labels),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(header) + "\n")
         for row in record.matrix:
             fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")

@@ -202,34 +202,15 @@ class DecoderCache:
     """Decoder key/value rows of one document, detached from the tape.
 
     ``cross`` holds each layer's cross-attention K/V of the encoder memory,
-    projected on first use. ``prefixes`` maps a target prefix to each layer's
-    self-attention K/V over the rows [P_de ; BOS ; prefix]. ``scored`` maps a
-    prefix to the next-token log-probabilities a batched beam step computed
-    for it; ``retain`` drops them.
+    projected on first use. ``ids`` is the [B, t] batch of target prefixes of
+    the last cached ``decode_logits`` call, and ``self_kv`` each layer's
+    self-attention K/V over their rows [P_de ; BOS ; prefix], as [B, rows, d]
+    arrays.
     """
 
     cross: list[KV] | None = None
-    prefixes: dict[tuple[int, ...], list[KV]] = field(default_factory=dict)
-    scored: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
-
-    def nearest(self, prefix: tuple[int, ...]) -> tuple[int, list[KV] | None]:
-        """The longest cached proper prefix of ``prefix``: (its length, its K/V)."""
-        for n in range(len(prefix) - 1, -1, -1):
-            entry = self.prefixes.get(prefix[:n])
-            if entry is not None:
-                return n, entry
-        return 0, None
-
-    def retain(self, live) -> None:
-        """Evict every entry that none of the ``live`` prefixes would extend."""
-        keep: dict[tuple[int, ...], list[KV]] = {}
-        for prefix in live:
-            prefix = tuple(prefix)
-            n, entry = self.nearest(prefix)
-            if entry is not None:
-                keep[prefix[:n]] = entry
-        self.prefixes = keep
-        self.scored = {}
+    ids: np.ndarray | None = None
+    self_kv: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
@@ -506,6 +487,20 @@ def encode_source(
     return EncodedSource(memory, memory.data.shape[0])
 
 
+def _parent_rows(cached: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """For each row of ``ids`` [B, T], the row of ``cached`` [B', t] that
+    holds its first t tokens; ``ids`` must extend ``cached`` (T > t)."""
+    t = cached.shape[1]
+    if ids.shape[1] > t:
+        match = (ids[:, None, :t] == cached[None]).all(axis=-1)
+        if match.any(axis=1).all():
+            return match.argmax(axis=1)
+    raise ValueError(
+        f"prefixes of length {ids.shape[1]} do not extend the cached call's "
+        f"{cached.shape[0]} prefixes of length {t}"
+    )
+
+
 def decode_logits(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -517,44 +512,41 @@ def decode_logits(
 ) -> tuple[Tensor, list[np.ndarray] | None]:
     """Run the decoder on [P_de ; BOS ; tgt_prefix].
 
+    ``tgt_prefix`` is one prefix or a list of B prefixes of one length, which
+    run as one batch: every row tensor gets a leading axis of B, and the
+    logits have shape [B, rows, vocab].
+
     Without a cache this is the teacher-forced pass: it returns logits for
     the len(tgt_prefix) + 1 positions that predict target tokens, plus
     per-layer cross-attention probabilities when requested. With a cache
-    (the one on ``enc``), only the rows after the longest cached proper
-    prefix of ``tgt_prefix`` are computed, logits come back for those rows
-    alone (the last predicts the token after ``tgt_prefix``), and the
-    self-attention K/V of the whole prefix is stored for its extensions.
-
-    ``tgt_prefix`` may also be a list of B prefixes of one length, as the
-    live hypotheses of a beam step are. They run as one batch: every row
-    tensor gets a leading axis of B, the rows start after the shortest of
-    their cached prefixes, and the logits have shape [B, rows, vocab].
+    (the one on ``enc``), a call after the first must extend the prefixes of
+    the last one: each row takes the self-attention K/V of the cached row
+    whose ids are its own first tokens, only the rows after them are
+    computed, and logits come back for those rows alone (the last predicts
+    the token after the prefix). The call's prefixes and K/V then replace
+    the cached ones. A batch that does not extend the last call raises
+    ``ValueError``.
     """
     dims = backbone.dims
     p = backbone.params
     len_de = config.effective_len_de
-    ids = np.asarray(tgt_prefix, dtype=np.int64)
+    ids = np.array(tgt_prefix, dtype=np.int64)
     lead = ids.shape[:-1]  # () for one prefix, (B,) for a batch
-    prefixes = [tuple(row) for row in np.atleast_2d(ids).tolist()]
+    batch = np.atleast_2d(ids)
     t_dec = len_de + 1 + ids.shape[-1]
     if t_dec > dims.max_pos:
         raise LengthOverflowError(f"decoder length {t_dec} exceeds max_pos {dims.max_pos}")
 
     past = None
-    # Rows start..t_dec-1 are computed; cached entries always cover P_de and BOS.
+    # Rows start..t_dec-1 are computed; cached rows always cover P_de and BOS.
     start = 0
     if cache is not None:
-        nearest = [cache.nearest(prefix) for prefix in prefixes]
-        if all(entry is not None for _, entry in nearest):
-            # The first rows of a longer cached prefix are those of its own prefixes.
-            start = len_de + 1 + min(n for n, _ in nearest)
-            shape = lead + (start, dims.d)
+        if cache.ids is not None:
+            parent = _parent_rows(cache.ids, batch)
+            start = len_de + 1 + cache.ids.shape[1]
             past = [
-                tuple(
-                    Tensor(np.stack([e[i][j].data[:start] for _, e in nearest]).reshape(shape))
-                    for j in (0, 1)
-                )
-                for i in range(dims.layers)
+                tuple(Tensor(a[parent].reshape(lead + (start, dims.d))) for a in kv)
+                for kv in cache.self_kv
             ]
         if cache.cross is None:
             cache.cross = [
@@ -575,14 +567,14 @@ def decode_logits(
 
     mask = _causal_mask(t_dec, start)
     capture: list[np.ndarray] | None = [] if capture_attention else None
-    entry: list[KV] = []
+    self_kv: list[KV] = []
     for i in range(dims.layers):
         h = ad.layer_norm(x, p[f"dec{i}/ln1/gamma"], p[f"dec{i}/ln1/beta"])
         k, v = _project_kv(h, p, f"dec{i}/self")
         if past is not None:
             k = ad.concat_rows([past[i][0], k])
             v = ad.concat_rows([past[i][1], v])
-        entry.append((k, v))
+        self_kv.append((k, v))
         x = ad.add(x, _attention(h, k, v, p, f"dec{i}/self", dims.heads, mask=mask))
         h = ad.layer_norm(x, p[f"dec{i}/ln2/gamma"], p[f"dec{i}/ln2/beta"])
         ck, cv = cross[i]
@@ -591,9 +583,9 @@ def decode_logits(
         x = ad.add(x, _ffn(h, p, f"dec{i}/ffn"))
     x = ad.layer_norm(x, p["dec/ln/gamma"], p["dec/ln/beta"])
     if cache is not None:
-        rows = [[t.data.reshape((len(prefixes), t_dec, dims.d)) for t in kv] for kv in entry]
-        for b, prefix in enumerate(prefixes):
-            cache.prefixes[prefix] = [(Tensor(k[b]), Tensor(v[b])) for k, v in rows]
+        shape = (batch.shape[0], t_dec, dims.d)
+        cache.ids = batch
+        cache.self_kv = [tuple(t.data.reshape(shape) for t in kv) for kv in self_kv]
 
     predict = ad.slice_rows(x, max(len_de - start, 0), t_dec - start)
     logits = ad.matmul(predict, ad.transpose(backbone.embed, (1, 0)))
@@ -692,12 +684,13 @@ def save_checkpoint(path, backbone: BackboneParams, prompts: PromptSet) -> None:
 def load_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
     """Rebuild backbone and prompts, rejecting any dimension mismatch.
 
-    A damaged file (not a zip, truncated, corrupt member) or malformed
-    metadata raises ``CheckpointError`` naming the path.
+    A damaged file (not a zip, truncated, corrupt member, a zip feature the
+    reader does not support) or malformed metadata raises ``CheckpointError``
+    naming the path.
     """
     try:
         return _read_checkpoint(path)
-    except (zipfile.BadZipFile, EOFError, zlib.error) as exc:
+    except (zipfile.BadZipFile, EOFError, zlib.error, NotImplementedError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 

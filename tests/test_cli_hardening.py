@@ -80,6 +80,18 @@ def test_truncated_checkpoint(setup, capsys):
     assert "bad.npz" in _single_error(capsys)
 
 
+@pytest.mark.parametrize("offset", [6, 8, 10])
+def test_checkpoint_needing_unsupported_zip_feature(setup, capsys, offset):
+    # Bytes 6, 8 and 10 of a central-directory record hold the zip version
+    # needed, the flag bits and the compression method; 122 in any of them
+    # asks for a feature the zip reader does not implement.
+    data = bytearray((setup / "ckpt.npz").read_bytes())
+    data[data.index(b"PK\x01\x02") + offset] = 122
+    (setup / "bad.npz").write_bytes(bytes(data))
+    assert _run(setup, "evaluate", setup / "bad.npz", ["--max-len", "4"]) == 1
+    assert "bad.npz" in _single_error(capsys)
+
+
 def test_decoder_overflow_fails_before_predictions(setup, capsys):
     # len_de 4 + max_len 61 = 65 decoder rows > max_pos 64.
     assert _run(setup, "evaluate", setup / "ckpt.npz", ["--max-len", "61"]) == 1

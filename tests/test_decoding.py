@@ -13,10 +13,10 @@ from conftest import make_doc, tiny_model
 
 
 def _stub_scorer(table):
-    """Replace the model call with a lookup keyed by the generated prefix."""
+    """Replace the model call with a lookup keyed by each generated prefix."""
 
-    def fake(backbone, prompts, config, enc, prefix):
-        return np.array(table[tuple(prefix)])
+    def fake(backbone, prompts, config, enc, prefixes):
+        return np.stack([table[tuple(prefix)] for prefix in prefixes])
 
     return fake
 
@@ -50,11 +50,11 @@ class TestGreedy:
     def test_ties_go_to_lower_id(self, monkeypatch):
         table = {(): np.zeros(10)}  # all equal
 
-        def fake(backbone, prompts, config, enc, prefix):
-            row = table[tuple(prefix)]
+        def normalized(row):
             return row - math.log(np.exp(row).sum())
 
-        monkeypatch.setattr(decoding, "_next_logprobs", fake)
+        table = {prefix: normalized(row) for prefix, row in table.items()}
+        monkeypatch.setattr(decoding, "_next_logprobs", _stub_scorer(table))
         backbone, prompts, config = tiny_model(vocab=10)
         out = greedy_decode(backbone, prompts, config, make_doc([4]), max_len=1)
         assert out == [0]
@@ -168,8 +168,8 @@ class TestSequenceLogprob:
             lp = decoding._next_logprobs(
                 backbone, prompts, config,
                 decoding.encode_source(backbone, prompts, config, doc),
-                out[:t],
-            )
+                [out[:t]],
+            )[0]
             total += lp[out[t]]
         assert sequence_logprob(backbone, prompts, config, doc, out) == pytest.approx(total, rel=1e-10)
 

@@ -2,18 +2,18 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from promptsum import autodiff as ad
-from promptsum import decoding
+from promptsum import decoding, evaluation
 from promptsum.corpus import EOS_ID
-from promptsum.decoding import greedy_decode
+from promptsum.decoding import Generation, greedy_decode
 from promptsum.evaluation import (
     config_fingerprint,
     evaluate,
-    evaluate_rouge,
     export_attention,
     generate_predictions,
     perplexity,
@@ -37,6 +37,16 @@ def _zeroed_model(**kw):
     for t in prompts.named_tensors().values():
         t.data[...] = 0.0
     return backbone, prompts, config
+
+
+def _stub_beam(monkeypatch, decode):
+    """Make ``decode(document)`` the beam search's output, at logp -1 per token."""
+
+    def fake(backbone, prompts, config, src, beam, max_len):
+        ids = decode(src)
+        return Generation(ids, -float(len(ids)))
+
+    monkeypatch.setattr(evaluation, "beam_search", fake)
 
 
 class TestPerplexity:
@@ -95,32 +105,35 @@ class TestPerplexity:
 
 
 class TestEvaluateRouge:
-    def test_forced_copy_scores_one(self):
+    def test_forced_copy_scores_one(self, monkeypatch):
         backbone, prompts, config = tiny_model()
         test = [make_pair(make_doc([4, 5, 6]), [4, 5]) for _ in range(3)]
-        report = evaluate_rouge(
-            backbone, prompts, config, test, decode_fn=lambda pair: list(pair.summary)
-        )
+        summary = {id(pair.document): list(pair.summary) for pair in test}
+        _stub_beam(monkeypatch, lambda doc: summary[id(doc)])
+        report, records = evaluate(backbone, prompts, config, test)
         assert (report.r1_f1, report.r2_f1, report.rl_f1) == (1.0, 1.0, 1.0)
         assert report.n_examples == 3
+        assert [rec["token_ids"] for rec in records] == [list(pair.summary) for pair in test]
+        # Perplexity is read from each winner's logp: -1 per token.
+        assert report.ppl == pytest.approx(math.e, rel=1e-12)
 
-    def test_mean_of_perfect_and_disjoint(self):
+    def test_mean_of_perfect_and_disjoint(self, monkeypatch):
         backbone, prompts, config = tiny_model()
         test = [
             make_pair(make_doc([4, 5]), [4, 5]),
             make_pair(make_doc([6, 7]), [6, 7]),
         ]
-
-        def decode_fn(pair):
-            return list(pair.summary) if pair.summary[0] == 4 else [10, 11, EOS_ID]
-
-        report = evaluate_rouge(backbone, prompts, config, test, decode_fn=decode_fn)
+        summary = {id(pair.document): list(pair.summary) for pair in test}
+        _stub_beam(
+            monkeypatch, lambda doc: summary[id(doc)] if doc.flat[0] == 4 else [10, 11, EOS_ID]
+        )
+        report, _ = evaluate(backbone, prompts, config, test)
         assert report.r1_f1 == pytest.approx(0.5)
 
     def test_empty_test_set_rejected(self):
         backbone, prompts, config = tiny_model()
         with pytest.raises(ValueError):
-            evaluate_rouge(backbone, prompts, config, [])
+            evaluate(backbone, prompts, config, [])
 
     def test_report_matches_recomputation_from_predictions(self, tmp_path):
         backbone, prompts, config = tiny_model(seed=9)
@@ -174,6 +187,25 @@ class TestAttentionExport:
         assert (loaded.len_de, loaded.len_en) == (record.len_de, record.len_en)
         assert (loaded.layers, loaded.heads) == (1, 2)
 
+    def test_failed_export_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        backbone, prompts, config = tiny_model(len_en=2, len_de=2)
+        path = tmp_path / "attention.txt"
+        export_attention(backbone, prompts, config, make_pair(make_doc([4, 5]), [6]), path)
+        before = path.read_bytes()
+        real = evaluation.forward
+
+        def last_value_unformattable(*args):
+            result = real(*args)
+            matrix = result.attention.matrix.astype(object)
+            matrix[-1, -1] = None  # fails once every earlier row is written
+            return replace(result, attention=replace(result.attention, matrix=matrix))
+
+        monkeypatch.setattr(evaluation, "forward", last_value_unformattable)
+        with pytest.raises(TypeError):
+            export_attention(backbone, prompts, config, make_pair(make_doc([7, 8]), [9]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["attention.txt"]
+
     def test_header_is_machine_readable(self, tmp_path):
         backbone, prompts, config = tiny_model(len_en=2, len_de=1)
         pair = make_pair(make_doc([4]), [5])
@@ -187,16 +219,14 @@ class TestAttentionExport:
 
 
 class TestGeneratePredictions:
-    def test_detokenized_text_included_with_vocab(self):
+    def test_detokenized_text_included_with_vocab(self, monkeypatch):
         from promptsum.corpus import build_vocab
 
         vocab = build_vocab(["alpha beta gamma delta"])
         backbone, prompts, config = tiny_model(vocab=len(vocab))
         test = [make_pair(make_doc([4, 5]), [4])]
-        records = generate_predictions(
-            backbone, prompts, config, test,
-            decode_fn=lambda pair: [4, EOS_ID], vocab=vocab,
-        )
+        _stub_beam(monkeypatch, lambda doc: [4, EOS_ID])
+        records = generate_predictions(backbone, prompts, config, test, vocab=vocab)
         assert records[0]["text"] == vocab.id_to_token[4]
         assert records[0]["token_ids"] == [4, EOS_ID]
 

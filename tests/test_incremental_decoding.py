@@ -76,11 +76,19 @@ def reference_beam_search(backbone, prompts, config, src, beam, max_len):
     return list(max(beams, key=lambda h: h[1])[0])
 
 
-def per_hypothesis_beam_search(backbone, prompts, config, src, beam, max_len):
-    """Beam search as it was before the batched step: one cached decoder call
-    per live hypothesis per step, through ``_next_logprobs``."""
-    _check_lengths(backbone, config, max_len)
+def _stepped_logprobs(backbone, prompts, config, src, ids):
+    """Next-token log-probabilities after ``ids``, from a fresh encoding whose
+    cache is stepped along ``ids`` one token at a time."""
     enc = encode_source(backbone, prompts, config, src)
+    for n in range(len(ids) + 1):
+        logprobs = _next_logprobs(backbone, prompts, config, enc, [ids[:n]])[0]
+    return logprobs
+
+
+def per_hypothesis_beam_search(backbone, prompts, config, src, beam, max_len):
+    """Beam search as it was before the batched step: every live hypothesis
+    is scored on its own, by cached single-row decoder steps along its ids."""
+    _check_lengths(backbone, config, max_len)
     beams = [Hypothesis((), 0.0, False)]
     best_finished = None
 
@@ -91,7 +99,7 @@ def per_hypothesis_beam_search(backbone, prompts, config, src, beam, max_len):
         scores, tokens, slots = [], [], []
         for slot, hyp in enumerate(beams):
             if extendable(hyp):
-                logprobs = _next_logprobs(backbone, prompts, config, enc, hyp.ids)
+                logprobs = _stepped_logprobs(backbone, prompts, config, src, hyp.ids)
                 scores.append(hyp.logp + logprobs)
                 tokens.append(np.arange(len(logprobs)))
             else:
@@ -113,7 +121,6 @@ def per_hypothesis_beam_search(backbone, prompts, config, src, beam, max_len):
                 parent = Hypothesis(parent.ids + (tok,), float(score[i]), tok == EOS_ID)
             chosen.append(parent)
         beams = chosen
-        enc.cache.retain(h.ids for h in beams if extendable(h))
         for hyp in beams:
             if hyp.finished and (best_finished is None or hyp.logp > best_finished.logp):
                 best_finished = hyp
@@ -179,41 +186,41 @@ class TestBatchedStep:
     @SETTINGS
     @given(models(), st.data())
     def test_batch_over_mixed_cached_ancestors_matches_full_decode(self, model, data):
+        # The cached call holds some parent prefixes; the next batch extends
+        # them in any order, with a parent taken by several rows or by none.
         (backbone, prompts, config), doc, vocab = model
         enc = encode_source(backbone, prompts, config, doc)
         fresh = encode_source(backbone, prompts, config, doc)
         tokens = st.integers(0, vocab - 1)
-        length = data.draw(st.integers(1, 4))
-        batch = data.draw(st.lists(st.tuples(*[tokens] * length), min_size=1, max_size=4))
-        # Cache some ancestors of each prefix, of different lengths, first.
-        for prefix in batch:
-            for n in sorted(data.draw(st.sets(st.integers(0, length - 1), max_size=2))):
-                _next_logprobs(backbone, prompts, config, enc, prefix[:n])
+        length, extra = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+        parents = data.draw(st.lists(st.tuples(*[tokens] * length), min_size=1, max_size=3))
+        decode_logits(backbone, prompts, config, enc, parents, cache=enc.cache)
+        slots = data.draw(st.lists(st.integers(0, len(parents) - 1), min_size=1, max_size=4))
+        batch = [parents[j] + data.draw(st.tuples(*[tokens] * extra)) for j in slots]
         logits, _ = decode_logits(backbone, prompts, config, enc, batch, cache=enc.cache)
-        assert logits.shape[0] == len(batch)
+        assert logits.shape[:2] == (len(batch), extra)
         for b, prefix in enumerate(batch):
             full, _ = decode_logits(backbone, prompts, config, fresh, prefix)
-            np.testing.assert_allclose(logits.data[b, -1], full.data[-1], rtol=0, atol=1e-12)
-            assert prefix in enc.cache.prefixes
+            np.testing.assert_allclose(logits.data[b], full.data[-extra:], rtol=0, atol=1e-12)
+        assert enc.cache.ids.tolist() == [list(prefix) for prefix in batch]
 
 
 class TestCachedRows:
     @SETTINGS
     @given(models(), st.data())
     def test_cached_row_matches_full_decode(self, model, data):
+        # Steps of one or more tokens along a batch of sequences.
         (backbone, prompts, config), doc, vocab = model
         enc = encode_source(backbone, prompts, config, doc)
         fresh = encode_source(backbone, prompts, config, doc)
         tokens = st.integers(0, vocab - 1)
-        base = data.draw(st.lists(tokens, max_size=5))
-        # Prefixes of one sequence in any order (so the nearest cached
-        # ancestor may be any shorter one), plus unrelated ones from scratch.
-        order = data.draw(st.permutations(range(len(base) + 1)))
-        prefixes = [base[:n] for n in order] + data.draw(st.lists(st.lists(tokens, max_size=4), max_size=2))
-        for prefix in prefixes:
-            cached = _next_logprobs(backbone, prompts, config, enc, prefix)
-            full = _uncached_logprobs(backbone, prompts, config, fresh, prefix)
-            np.testing.assert_allclose(cached, full, rtol=0, atol=1e-12)
+        length = data.draw(st.integers(0, 5))
+        seqs = data.draw(st.lists(st.lists(tokens, min_size=length, max_size=length), min_size=1, max_size=3))
+        for n in sorted(data.draw(st.sets(st.integers(0, length), min_size=1))):
+            cached = _next_logprobs(backbone, prompts, config, enc, [seq[:n] for seq in seqs])
+            for row, seq in zip(cached, seqs):
+                full = _uncached_logprobs(backbone, prompts, config, fresh, seq[:n])
+                np.testing.assert_allclose(row, full, rtol=0, atol=1e-12)
 
     @SETTINGS
     @given(models())
@@ -231,21 +238,37 @@ class TestCachedRows:
         (backbone, prompts, config), doc, _ = model
         enc = encode_source(backbone, prompts, config, doc)
         for n in range(len(prefix) + 1):
-            _next_logprobs(backbone, prompts, config, enc, prefix[:n])
-        cached = [t for kv in enc.cache.cross for t in kv]
-        cached += [t for entry in enc.cache.prefixes.values() for kv in entry for t in kv]
-        assert cached
-        assert all(t._parents == () and t._backward is None for t in cached)
+            _next_logprobs(backbone, prompts, config, enc, [prefix[:n]])
+        cross = [t for kv in enc.cache.cross for t in kv]
+        assert cross and all(t._parents == () and t._backward is None for t in cross)
+        rows = (1, config.effective_len_de + 1 + len(prefix), backbone.dims.d)
+        arrays = [a for kv in enc.cache.self_kv for a in kv]
+        assert arrays and all(type(a) is np.ndarray and a.shape == rows for a in arrays)
 
-    def test_retain_keeps_only_the_nearest_ancestors(self):
+    def test_cache_holds_only_the_last_calls_rows(self):
         backbone, prompts, config = tiny_model(seed=2)
         enc = encode_source(backbone, prompts, config, make_doc([4, 5]))
-        for prefix in [(), (4,), (4, 5), (6,)]:
-            _next_logprobs(backbone, prompts, config, enc, prefix)
-        enc.cache.retain([(4, 5, 9), (6, 7)])
-        assert set(enc.cache.prefixes) == {(4, 5), (6,)}
-        enc.cache.retain([])
-        assert enc.cache.prefixes == {}
+        for batch in [[()], [(4,), (6,)], [(4, 5), (4, 7), (6, 7)]]:
+            _next_logprobs(backbone, prompts, config, enc, batch)
+        assert enc.cache.ids.tolist() == [[4, 5], [4, 7], [6, 7]]
+        rows = (3, config.effective_len_de + 3, backbone.dims.d)
+        assert len(enc.cache.self_kv) == backbone.dims.layers
+        assert all(a.shape == rows for kv in enc.cache.self_kv for a in kv)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [[(5, 9)], [(4, 5, 9), (6, 1, 9)], [(4, 5)], [(4,)]],
+        ids=["unknown parent", "one row unknown", "same length", "shorter"],
+    )
+    def test_batch_not_extending_the_last_call_is_rejected(self, batch):
+        backbone, prompts, config = tiny_model(seed=2)
+        enc = encode_source(backbone, prompts, config, make_doc([4, 5]))
+        _next_logprobs(backbone, prompts, config, enc, [(4, 5), (6, 7)])
+        kv = enc.cache.self_kv
+        with pytest.raises(ValueError, match="do not extend"):
+            _next_logprobs(backbone, prompts, config, enc, batch)
+        assert enc.cache.ids.tolist() == [[4, 5], [6, 7]]
+        assert enc.cache.self_kv is kv
 
 
 class TestBeamAgainstReference:
@@ -266,21 +289,32 @@ class TestBeamAgainstReference:
             return np.log(out)
 
         table = {(): row({4: 0.45, 5: 0.45}), (4,): row({7: 0.5}), (5,): row({6: 0.5})}
-        monkeypatch.setattr(decoding, "_next_logprobs", lambda b, p, c, e, prefix: table[tuple(prefix)])
+        monkeypatch.setattr(
+            decoding, "_next_logprobs",
+            lambda b, p, c, e, prefixes: np.stack([table[tuple(x)] for x in prefixes]),
+        )
         backbone, prompts, config = tiny_model(vocab=10)
         assert beam_search(backbone, prompts, config, make_doc([4]), beam=2, max_len=2) == [5, 6]
 
     def test_cache_holds_at_most_beam_prefixes(self, monkeypatch):
-        encoded = []
+        encoded, batches = [], []
 
         def capture(*args):
             encoded.append(encode_source(*args))
             return encoded[-1]
 
+        def record(*args, **kwargs):
+            batches.append(args[4])
+            return decode_logits(*args, **kwargs)
+
         monkeypatch.setattr(decoding, "encode_source", capture)
+        monkeypatch.setattr(decoding, "decode_logits", record)
         backbone, prompts, config = tiny_model(seed=4, vocab=12)
         beam_search(backbone, prompts, config, make_doc([4, 5, 6]), beam=3, max_len=6)
-        assert len(encoded[0].cache.prefixes) <= 3
+        assert all(1 <= len(batch) <= 3 for batch in batches)
+        cache = encoded[0].cache
+        assert cache.ids.tolist() == [list(prefix) for prefix in batches[-1]]
+        assert all(a.shape[0] == len(batches[-1]) for kv in cache.self_kv for a in kv)
 
     @SETTINGS
     @given(models(), st.integers(1, 3), st.sampled_from([1, 3]))
@@ -305,9 +339,9 @@ class TestLengthCheck:
         real = decoding._next_logprobs
 
         def never_eos(*args):
-            row = real(*args).copy()
-            row[EOS_ID] = -math.inf
-            return row
+            rows = real(*args).copy()
+            rows[:, EOS_ID] = -math.inf
+            return rows
 
         monkeypatch.setattr(decoding, "_next_logprobs", never_eos)
 
