@@ -376,6 +376,7 @@ def cmd_build_pseudo(args) -> int:
             "n_built": len(pairs),
             "rejections": rejected,
             "threshold": None,
+            "n_fewshot_skipped": None,
             "n_output": len(pairs),
         }
         if do_filter:
@@ -387,16 +388,17 @@ def cmd_build_pseudo(args) -> int:
                 "sigma2": threshold.sigma2,
                 "value": threshold.threshold,
             }
+            stats["n_fewshot_skipped"] = fewshot.skipped
             stats["n_output"] = len(pairs)
 
-        with open(os.path.join(args.out, "pseudo.jsonl"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(args.out, "pseudo.jsonl")) as fh:
             for pair in pairs:
                 record = {
                     "document": _render_document(pair.document, vocab),
                     "summary": detokenize(pair.summary_content, vocab),
                 }
                 fh.write(json.dumps(record) + "\n")
-        with open(os.path.join(args.out, "stats.json"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(args.out, "stats.json")) as fh:
             json.dump(stats, fh, indent=2)
             fh.write("\n")
         print(f"pseudo pairs: {stats['n_output']} (built {stats['n_built']} of {len(texts)})")

@@ -93,7 +93,7 @@ def build_vocab(texts: list[str], min_freq: int = 1) -> Vocab:
 
 
 def save_vocab(vocab: Vocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for tok in vocab.id_to_token:
             fh.write(tok + "\n")
 
@@ -195,7 +195,8 @@ def split_sentences(text: str) -> list[str]:
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:
     """Lowercase and tokenize; unknown tokens map to UNK. Total on strings."""
-    return [vocab.id_of(tok) for tok in _TOKEN_RE.findall(text.lower())]
+    lookup = vocab.token_to_id.get
+    return [lookup(tok, UNK_ID) for tok in _TOKEN_RE.findall(text.lower())]
 
 
 def detokenize(ids, vocab: Vocab) -> str:
@@ -275,12 +276,23 @@ def atomic_open(path, mode: str = "w"):
             os.unlink(tmp)
 
 
-def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> list[SummaryPair]:
+class Dataset(list):
+    """The pairs of a dataset file; ``skipped`` counts the records dropped as empty."""
+
+    __slots__ = ("skipped",)
+
+    def __init__(self, pairs=(), skipped: int = 0) -> None:
+        super().__init__(pairs)
+        self.skipped = skipped
+
+
+def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> Dataset:
     """Load line-delimited {"document", "summary"} records.
 
     Documents are sentence-split, tokenized, and flat-truncated to
     ``max_src_tokens`` (sentence list re-derived after truncation). Records
-    with an empty document or summary are skipped with a counted warning.
+    with an empty document or summary are skipped with a warning, and their
+    count is the returned list's ``skipped``.
     """
     pairs: list[SummaryPair] = []
     skipped = 0
@@ -303,7 +315,7 @@ def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> list[Summary
         warnings.warn(f"{path}: skipped {skipped} records with empty document/summary")
     if not pairs:
         raise EmptyDatasetError(f"{path}: no valid records")
-    return pairs
+    return Dataset(pairs, skipped)
 
 
 def sample_fewshot(pairs: list[SummaryPair], size: int, seed: int) -> FewShotSplit:

@@ -10,10 +10,11 @@ the few-shot reference scores.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import EOS_ID, Document, SummaryPair
-from .rouge import rouge_n_f1
+from .rouge import overlap_f1, rouge_n_f1
 
 REASON_TOO_FEW_SENTENCES = "too-few-sentences"
 REASON_SOURCE_SHORTER = "source-shorter-than-summary"
@@ -92,14 +93,21 @@ def build_lead_pair(
 
 
 def gsg_scores(doc: Document) -> GsgScores:
-    """ROUGE-1 F1 of each sentence against the rest of the document."""
-    n = len(doc.sentences)
-    if n < 2:
+    """ROUGE-1 F1 of each sentence against the rest of the document.
+
+    The document's unigrams are counted once: a sentence whose own count of
+    token t is c finds total[t] - c copies of t in the rest, so each score
+    costs one pass over its sentence.
+    """
+    if len(doc.sentences) < 2:
         raise DegenerateDocumentError("need at least 2 sentences to score gaps")
+    total = Counter(tok for sent in doc.sentences for tok in sent)
+    flat_length = doc.flat_length
     scores = []
-    for i in range(n):
-        rest = tuple(tok for j, sent in enumerate(doc.sentences) if j != i for tok in sent)
-        scores.append(rouge_n_f1(doc.sentences[i], rest, 1))
+    for sent in doc.sentences:
+        own = Counter(sent)
+        overlap = sum(min(c, total[tok] - c) for tok, c in own.items())
+        scores.append(overlap_f1(overlap, len(sent), flat_length - len(sent)))
     return GsgScores(tuple(scores))
 
 

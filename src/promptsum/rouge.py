@@ -32,16 +32,28 @@ def _f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def rouge_n_f1(candidate: Sequence[int], reference: Sequence[int], n: int) -> float:
-    """Clipped n-gram overlap F1; 0 when either side has no n-grams."""
-    cand = ngram_counts(candidate, n)
-    ref = ngram_counts(reference, n)
-    n_cand = sum(cand.values())
-    n_ref = sum(ref.values())
+def overlap_f1(overlap: int, n_cand: int, n_ref: int) -> float:
+    """F1 of a clipped overlap count; 0 when either side has no n-grams."""
     if n_cand == 0 or n_ref == 0:
         return 0.0
-    overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
     return _f1(overlap / n_cand, overlap / n_ref)
+
+
+def rouge_n_f1(candidate: Sequence[int], reference: Sequence[int], n: int) -> float:
+    """Clipped n-gram overlap F1; 0 when either side has no n-grams.
+
+    Unigrams are counted on the token ids themselves, not as 1-tuples.
+    """
+    if n == 1:
+        cand = Counter(candidate)
+        ref = Counter(reference)
+        n_cand, n_ref = len(candidate), len(reference)
+    else:
+        cand = ngram_counts(candidate, n)
+        ref = ngram_counts(reference, n)
+        n_cand, n_ref = sum(cand.values()), sum(ref.values())
+    overlap = sum(min(count, ref[gram]) for gram, count in cand.items())
+    return overlap_f1(overlap, n_cand, n_ref)
 
 
 def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from promptsum import cli
 from promptsum.cli import dispatch, load_config_file, shipped_defaults
 from promptsum.corpus import load_dataset, load_vocab
 
@@ -47,7 +48,7 @@ def _pretrain(corpus_dir, out="ckpt", epochs="4", extra=()):
     return str(corpus_dir / out / "checkpoint.npz")
 
 
-def _build_pseudo(corpus_dir, extra=()):
+def _build_pseudo(corpus_dir, extra=(), expect=0):
     rc = dispatch([
         "build-pseudo",
         "--data", str(corpus_dir / "train.jsonl"),
@@ -56,7 +57,7 @@ def _build_pseudo(corpus_dir, extra=()):
         "--out", str(corpus_dir / "pseudo"),
         *extra,
     ])
-    assert rc == 0
+    assert rc == expect
 
 
 class TestDispatch:
@@ -265,6 +266,47 @@ class TestBuildPseudo:
         assert stats["threshold"] is not None
         assert stats["threshold"]["value"] <= stats["threshold"]["epsilon"]
         assert stats["n_output"] <= stats["n_built"]
+
+
+    def test_fewshot_skipped_records_counted(self, corpus_dir):
+        records = make_lead_corpus(4, seed=1) + [{"document": "A cat sat. A dog ran.", "summary": ""}]
+        write_jsonl(corpus_dir / "fewshot.jsonl", records)
+        with pytest.warns(UserWarning, match="skipped 1"):
+            _build_pseudo(corpus_dir, extra=["--fewshot", str(corpus_dir / "fewshot.jsonl")])
+        stats = json.load(open(corpus_dir / "pseudo" / "stats.json"))
+        assert stats["n_fewshot_skipped"] == 1
+        _build_pseudo(corpus_dir)
+        assert json.load(open(corpus_dir / "pseudo" / "stats.json"))["n_fewshot_skipped"] is None
+
+    def test_failed_rewrite_keeps_earlier_outputs(self, corpus_dir, monkeypatch):
+        _build_pseudo(corpus_dir)
+        out = corpus_dir / "pseudo"
+        before = {name: (out / name).read_bytes() for name in ("pseudo.jsonl", "stats.json")}
+        render = cli._render_document
+        dump = json.dump
+
+        def fail_on_second_record(doc, vocab):
+            if fail_on_second_record.calls == 1:
+                raise OSError("disk full")
+            fail_on_second_record.calls += 1
+            return render(doc, vocab)
+
+        def fail_on_stats(obj, fh, **kw):
+            if "n_output" in obj:
+                fh.write('{\n  "n_records"')
+                raise OSError("disk full")
+            dump(obj, fh, **kw)
+
+        fail_on_second_record.calls = 0
+        for target, name, failing in (
+            (cli, "_render_document", fail_on_second_record),
+            (json, "dump", fail_on_stats),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, failing)
+                _build_pseudo(corpus_dir, expect=1)
+            assert {name: (out / name).read_bytes() for name in before} == before
+            assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
 
 
 class TestTrainingCommands:

@@ -15,8 +15,10 @@ from promptsum.corpus import (
     EmptyDocumentError,
     PAD_ID,
     ParseError,
+    RESERVED_TOKENS,
     SummaryPair,
     UNK_ID,
+    Vocab,
     atomic_open,
     build_vocab,
     detokenize,
@@ -115,6 +117,17 @@ class TestVocab:
         lines = path.read_text().splitlines()
         assert lines[vocab.id_of("the")] == "the"
 
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocab(build_vocab(["the cat sat on the mat"]), path)
+        before = path.read_bytes()
+        # A token that is not a string fails the write after the reserved lines.
+        bad = Vocab({**build_vocab(["dog"]).token_to_id, None: 5}, RESERVED_TOKENS + ("dog", None))
+        with pytest.raises(TypeError):
+            save_vocab(bad, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
+
 
 class TestDocument:
     def test_flat_length_is_sum_of_sentences(self):
@@ -206,6 +219,20 @@ class TestLoadDataset:
         with pytest.warns(UserWarning, match="skipped 1"):
             pairs = load_dataset(self._write(tmp_path, records), vocab, 1024)
         assert len(pairs) == 1
+
+    def test_skipped_count_travels_with_the_pairs(self, tmp_path):
+        records = [
+            {"document": "The cat sat.", "summary": "cat"},
+            {"document": "The cat sat.", "summary": "  "},
+        ]
+        vocab = build_vocab(["the cat sat"])
+        clean = load_dataset(self._write(tmp_path, records[:1]), vocab, 1024)
+        assert clean.skipped == 0
+        with pytest.warns(UserWarning, match="skipped 1"):
+            pairs = load_dataset(self._write(tmp_path, records), vocab, 1024)
+        assert pairs.skipped == 1
+        assert pairs == clean
+        assert sample_fewshot(pairs * 2, 1, seed=0).train == (clean[0],)
 
     def test_all_invalid_raises_empty_dataset(self, tmp_path):
         records = [{"document": "", "summary": ""}]

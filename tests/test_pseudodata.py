@@ -4,8 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from promptsum.corpus import EOS_ID, Document
+from promptsum.corpus import EOS_ID, UNK_ID, Document
 from promptsum.pseudodata import (
     DegenerateDocumentError,
     FilterThreshold,
@@ -19,7 +21,7 @@ from promptsum.pseudodata import (
     filter_pseudo,
     gsg_scores,
 )
-from promptsum.rouge import rouge_n_f1
+from promptsum.rouge import ngram_counts, rouge_n_f1
 
 from conftest import make_doc, make_pair
 
@@ -32,6 +34,27 @@ def _uniform_doc(n_sentences, sent_len, start=4):
         sents.append(tuple(range(tok, tok + sent_len)))
         tok += sent_len
     return Document(tuple(sents))
+
+
+def leave_one_out_scores(doc):
+    """O(n^2) reference: rebuild the rest of the document and its 1-tuple
+    counts for every sentence, then take the clipped-overlap F1."""
+    scores = []
+    for i, sent in enumerate(doc.sentences):
+        rest = tuple(tok for j, s in enumerate(doc.sentences) if j != i for tok in s)
+        own = ngram_counts(sent, 1)
+        other = ngram_counts(rest, 1)
+        overlap = sum(min(count, other[gram]) for gram, count in own.items())
+        p = overlap / len(sent)
+        r = overlap / len(rest)
+        scores.append(0.0 if p + r == 0 else 2.0 * p * r / (p + r))
+    return tuple(scores)
+
+
+# Few distinct ids (UNK among them) so tokens repeat within and across
+# sentences; one-token sentences and two-sentence documents are in range.
+_sentences = st.lists(st.integers(UNK_ID, UNK_ID + 4), min_size=1, max_size=7).map(tuple)
+_documents = st.lists(_sentences, min_size=2, max_size=7).map(lambda s: Document(tuple(s)))
 
 
 class TestLead:
@@ -102,6 +125,14 @@ class TestGsgScores:
     def test_single_sentence_degenerate(self):
         with pytest.raises(DegenerateDocumentError):
             gsg_scores(make_doc([4, 5]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_documents)
+    @example(make_doc([UNK_ID], [UNK_ID]))
+    @example(make_doc([4], [4, 4, 5]))
+    @example(make_doc([4, 4, 4], [4], [UNK_ID, 5, 4]))
+    def test_equals_quadratic_reference(self, doc):
+        assert gsg_scores(doc).scores == leave_one_out_scores(doc)
 
 
 class TestGsgPair:

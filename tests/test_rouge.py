@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from promptsum.corpus import UNK_ID
 from promptsum.rouge import lcs_length, ngram_counts, rouge_l_f1, rouge_n_f1, rouge_score
 
 
@@ -36,6 +39,20 @@ def oracle_rouge_n(cand, ref, n):
     p = overlap / len(cgrams)
     r = overlap / len(rgrams)
     return 0.0 if p + r == 0 else 2.0 * p * r / (p + r)
+
+
+def tuple_rouge1(cand, ref):
+    """ROUGE-1 F1 counted on ``ngram_counts``' 1-tuple keys."""
+    c = ngram_counts(cand, 1)
+    r = ngram_counts(ref, 1)
+    n_c = sum(c.values())
+    n_r = sum(r.values())
+    if n_c == 0 or n_r == 0:
+        return 0.0
+    overlap = sum(min(count, r[gram]) for gram, count in c.items())
+    p = overlap / n_c
+    rec = overlap / n_r
+    return 0.0 if p + rec == 0 else 2.0 * p * rec / (p + rec)
 
 
 def oracle_rouge_l(cand, ref):
@@ -163,3 +180,17 @@ class TestProperties:
             assert rouge_n_f1(a, b, 1) == oracle_rouge_n(a, b, 1)
             assert rouge_n_f1(a, b, 2) == oracle_rouge_n(a, b, 2)
             assert rouge_l_f1(a, b) == oracle_rouge_l(a, b)
+
+
+# A small alphabet that includes UNK, so tokens repeat within and across sides.
+_token_lists = st.lists(st.integers(UNK_ID, UNK_ID + 5), max_size=12)
+
+
+class TestUnigramPath:
+    @settings(max_examples=300, deadline=None)
+    @given(_token_lists, _token_lists)
+    @example([], [])
+    @example([UNK_ID], [UNK_ID, UNK_ID])
+    @example([4, 4, 4], [4])
+    def test_equals_tuple_formula(self, a, b):
+        assert rouge_n_f1(a, b, 1) == tuple_rouge1(a, b)
