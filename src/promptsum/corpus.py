@@ -281,7 +281,7 @@ class Dataset(list):
 
     __slots__ = ("skipped",)
 
-    def __init__(self, pairs=(), skipped: int = 0) -> None:
+    def __init__(self, pairs, skipped: int) -> None:
         super().__init__(pairs)
         self.skipped = skipped
 
