@@ -1,14 +1,18 @@
 """Reverse-mode automatic differentiation over NumPy arrays.
 
-A small tape-based engine: every operation records its parent tensors and a
-backward closure, and ``Tensor.backward()`` walks the recorded graph in
-reverse topological order. All arithmetic runs in float64 so that gradients
-can be checked against central finite differences and training runs are
-bitwise reproducible.
+A small tape-based engine: every operation whose inputs require a gradient
+records its parent tensors and a backward closure, and ``Tensor.backward()``
+walks the recorded graph in reverse topological order. Inside ``no_grad()``
+no operation records anything, so inference builds no tape. ``attention`` is
+one fused op for softmax attention that works in place on a single score
+buffer. All arithmetic runs in float64 so that gradients can be checked
+against central finite differences and training runs are bitwise
+reproducible.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -105,12 +109,35 @@ class Tensor:
                     parent.grad = g if parent.grad is None else parent.grad + g
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: every op returns a plain tensor.
+
+    Usable as a decorator. The mode is one process-wide switch, not one per
+    thread. Nests, and restores the previous mode on exit, also when the
+    block raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _needs_grad(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
+def _result(data, parents: tuple, backward) -> Tensor:
+    """An op's output: on the tape when a parent requires a gradient and
+    recording is on, otherwise a tensor with no parents and no closure."""
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        return Tensor(data, True, parents, backward)
+    return Tensor(data)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -133,7 +160,7 @@ def add(a, b) -> Tensor:
             _unbroadcast(g, b.data.shape) if b.requires_grad else None,
         )
 
-    return Tensor(out_data, _needs_grad(a, b), (a, b), backward)
+    return _result(out_data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -146,14 +173,14 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
         )
 
-    return Tensor(out_data, _needs_grad(a, b), (a, b), backward)
+    return _result(out_data, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
         return (g * s,)
 
-    return Tensor(a.data * s, a.requires_grad, (a,), backward)
+    return _result(a.data * s, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -166,7 +193,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape) if b.requires_grad else None,
         )
 
-    return Tensor(out_data, _needs_grad(a, b), (a, b), backward)
+    return _result(out_data, (a, b), backward)
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -175,7 +202,7 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     def backward(g):
         return (g.transpose(inverse),)
 
-    return Tensor(a.data.transpose(axes), a.requires_grad, (a,), backward)
+    return _result(a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -184,7 +211,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g):
         return (g.reshape(old_shape),)
 
-    return Tensor(a.data.reshape(shape), a.requires_grad, (a,), backward)
+    return _result(a.data.reshape(shape), (a,), backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -201,7 +228,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
             for i, p in enumerate(parts)
         )
 
-    return Tensor(out_data, _needs_grad(*parts), tuple(parts), backward)
+    return _result(out_data, tuple(parts), backward)
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
@@ -212,7 +239,7 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         ga[..., start:stop, :] += g
         return (ga,)
 
-    return Tensor(a.data[..., start:stop, :], a.requires_grad, (a,), backward)
+    return _result(a.data[..., start:stop, :], (a,), backward)
 
 
 def take_rows(a: Tensor, idx) -> Tensor:
@@ -225,7 +252,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
         np.add.at(ga, idx, g)
         return (ga,)
 
-    return Tensor(out_data, a.requires_grad, (a,), backward)
+    return _result(out_data, (a,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -252,7 +279,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dbeta = g.sum(axis=lead_axes) if beta.requires_grad else None
         return dx, dgamma, dbeta
 
-    return Tensor(out_data, _needs_grad(x, gamma, beta), (x, gamma, beta), backward)
+    return _result(out_data, (x, gamma, beta), backward)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -269,19 +296,52 @@ def gelu(x: Tensor) -> Tensor:
         dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
         return (g * dx,)
 
-    return Tensor(out_data, x.requires_grad, (x,), backward)
+    return _result(out_data, (x,), backward)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis, numerically stabilized."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    scale: float,
+    mask: np.ndarray | None = None,
+    capture: list[np.ndarray] | None = None,
+) -> Tensor:
+    """``softmax(q @ kᵀ * scale + mask) @ v`` over the last two axes.
+
+    Leading (batch) axes broadcast as in ``matmul``. The scores, their
+    softmax and the probabilities share one buffer, updated in place. A copy
+    of the probabilities is appended to ``capture`` when one is given. Forward
+    and backward run the same array operations in the same order as the
+    chain ``matmul``, ``scale``, ``add``, softmax, ``matmul`` would, so the
+    results are bitwise equal to it.
+    """
+    kt = np.swapaxes(k.data, -1, -2)
+    p = q.data @ kt
+    p *= scale
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    if capture is not None:
+        capture.append(p.copy())
+    out_data = p @ v.data
 
     def backward(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+        gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.data.shape) if v.requires_grad else None
+        # Softmax backward, then the scale, in place on one fresh buffer.
+        gs = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), p.shape)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = _unbroadcast(gs @ k.data, q.data.shape) if q.requires_grad else None
+        gk = None
+        if k.requires_grad:
+            gk = np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape), -1, -2)
+        return gq, gk, gv
 
-    return Tensor(p, x.requires_grad, (x,), backward)
+    return _result(out_data, (q, k, v), backward)
 
 
 def cross_entropy_sum(
@@ -318,4 +378,4 @@ def cross_entropy_sum(
         p[~mask] = 0.0
         return (p * g,)
 
-    return Tensor(out_data, logits.requires_grad, (logits,), backward), n
+    return _result(out_data, (logits,), backward), n

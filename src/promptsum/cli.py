@@ -514,6 +514,7 @@ def _evaluate_checkpoint(args, cfg: dict) -> int:
         "rl_f1": report.rl_f1,
         "ppl": report.ppl,
         "n_examples": report.n_examples,
+        "n_skipped": test.skipped,
         "fingerprint": report.fingerprint,
     }
     with atomic_open(os.path.join(args.out, "report.json")) as fh:

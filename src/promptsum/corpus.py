@@ -13,6 +13,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,7 +119,7 @@ class Document:
         if any(len(s) == 0 for s in self.sentences):
             raise CorpusError("document contains an empty sentence")
 
-    @property
+    @cached_property
     def flat(self) -> tuple[int, ...]:
         return tuple(tok for sent in self.sentences for tok in sent)
 

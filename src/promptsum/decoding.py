@@ -9,6 +9,8 @@ deterministic.
 Decoding is incremental: each step runs the new decoder row of every live
 hypothesis in one batched call, against the K/V rows its parent left in the
 document's ``DecoderCache`` at the step before (see ``model.decode_logits``).
+Every entry point runs under ``autodiff.no_grad``, so no decoding op records
+a tape.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .corpus import EOS_ID, Document
 from .model import (
     BackboneParams,
@@ -81,6 +84,7 @@ def _check_lengths(backbone: BackboneParams, config: PromptConfig, max_len: int)
         )
 
 
+@ad.no_grad()
 def greedy_decode(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -100,6 +104,7 @@ def greedy_decode(
     return out
 
 
+@ad.no_grad()
 def beam_search(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -170,6 +175,7 @@ def beam_search(
     return Generation(best.ids, best.logp)
 
 
+@ad.no_grad()
 def sequence_logprob(
     backbone: BackboneParams,
     prompts: PromptSet,

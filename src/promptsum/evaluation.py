@@ -93,6 +93,7 @@ def generate_predictions(
     return records
 
 
+@ad.no_grad()
 def perplexity(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -151,6 +152,7 @@ def write_predictions(path, records: list[dict]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+@ad.no_grad()
 def export_attention(
     backbone: BackboneParams,
     prompts: PromptSet,

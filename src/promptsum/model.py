@@ -16,6 +16,7 @@ import math
 import os
 import zipfile
 import zlib
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -199,7 +200,7 @@ KV = tuple[Tensor, Tensor]
 
 @dataclass
 class DecoderCache:
-    """Decoder key/value rows of one document, detached from the tape.
+    """Decoder key/value rows of one document, held without an autodiff tape.
 
     ``cross`` holds each layer's cross-attention K/V of the encoder memory,
     projected on first use. ``ids`` is the [B, t] batch of target prefixes of
@@ -387,10 +388,6 @@ def _project_kv(kv_in: Tensor, params: dict[str, Tensor], prefix: str) -> KV:
     return k, v
 
 
-def _detach(kv: KV) -> KV:
-    return Tensor(kv[0].data), Tensor(kv[1].data)
-
-
 def _swap_axes(x: Tensor, a: int, b: int) -> Tensor:
     """``x`` with axes ``a`` and ``b`` swapped; any axes before them are kept."""
     axes = list(range(x.data.ndim))
@@ -421,13 +418,7 @@ def _attention(
     dh = q_in.data.shape[-1] // heads
     q = _split_heads(_linear(q_in, params[f"{prefix}/Wq"], params[f"{prefix}/bq"]), heads)
     k, v = _split_heads(k, heads), _split_heads(v, heads)
-    scores = ad.scale(ad.matmul(q, _swap_axes(k, -2, -1)), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = ad.add(scores, mask)
-    probs = ad.softmax(scores)
-    if capture is not None:
-        capture.append(probs.data.copy())
-    out = ad.matmul(probs, v)
+    out = ad.attention(q, k, v, 1.0 / math.sqrt(dh), mask, capture)
     out = ad.reshape(_swap_axes(out, -3, -2), q_in.data.shape)
     return _linear(out, params[f"{prefix}/Wo"], params[f"{prefix}/bo"])
 
@@ -524,8 +515,8 @@ def decode_logits(
     whose ids are its own first tokens, only the rows after them are
     computed, and logits come back for those rows alone (the last predicts
     the token after the prefix). The call's prefixes and K/V then replace
-    the cached ones. A batch that does not extend the last call raises
-    ``ValueError``.
+    the cached ones, and the call records no autodiff tape. A batch that
+    does not extend the last call raises ``ValueError``.
     """
     dims = backbone.dims
     p = backbone.params
@@ -537,59 +528,62 @@ def decode_logits(
     if t_dec > dims.max_pos:
         raise LengthOverflowError(f"decoder length {t_dec} exceeds max_pos {dims.max_pos}")
 
-    past = None
-    # Rows start..t_dec-1 are computed; cached rows always cover P_de and BOS.
-    start = 0
-    if cache is not None:
-        if cache.ids is not None:
-            parent = _parent_rows(cache.ids, batch)
-            start = len_de + 1 + cache.ids.shape[1]
-            past = [
-                tuple(Tensor(a[parent].reshape(lead + (start, dims.d))) for a in kv)
-                for kv in cache.self_kv
-            ]
-        if cache.cross is None:
-            cache.cross = [
-                _detach(_project_kv(enc.memory, p, f"dec{i}/cross")) for i in range(dims.layers)
-            ]
-        cross = cache.cross
-    else:
-        cross = [_project_kv(enc.memory, p, f"dec{i}/cross") for i in range(dims.layers)]
+    # A cached call serves inference only: it records no tape, so the
+    # tensors it keeps on the cache hold no graph either.
+    with ad.no_grad() if cache is not None else nullcontext():
+        past = None
+        # Rows start..t_dec-1 are computed; cached rows always cover P_de and BOS.
+        start = 0
+        if cache is not None:
+            if cache.ids is not None:
+                parent = _parent_rows(cache.ids, batch)
+                start = len_de + 1 + cache.ids.shape[1]
+                past = [
+                    tuple(Tensor(a[parent].reshape(lead + (start, dims.d))) for a in kv)
+                    for kv in cache.self_kv
+                ]
+            if cache.cross is None:
+                cache.cross = [
+                    _project_kv(enc.memory, p, f"dec{i}/cross") for i in range(dims.layers)
+                ]
+            cross = cache.cross
+        else:
+            cross = [_project_kv(enc.memory, p, f"dec{i}/cross") for i in range(dims.layers)]
 
-    ids = np.concatenate([np.full(lead + (1,), BOS_ID, dtype=np.int64), ids], axis=-1)
-    first = max(start - len_de, 0)
-    tok = ad.take_rows(backbone.embed, ids[..., first:])
-    pos = ad.take_rows(backbone.pos, np.arange(len_de + first, t_dec))
-    x = ad.add(tok, pos)
-    if start == 0 and len_de > 0:
-        pd = ad.add(prompts.p_de, ad.take_rows(backbone.pos, np.arange(len_de)))
-        x = ad.concat_rows([pd, x])
+        ids = np.concatenate([np.full(lead + (1,), BOS_ID, dtype=np.int64), ids], axis=-1)
+        first = max(start - len_de, 0)
+        tok = ad.take_rows(backbone.embed, ids[..., first:])
+        pos = ad.take_rows(backbone.pos, np.arange(len_de + first, t_dec))
+        x = ad.add(tok, pos)
+        if start == 0 and len_de > 0:
+            pd = ad.add(prompts.p_de, ad.take_rows(backbone.pos, np.arange(len_de)))
+            x = ad.concat_rows([pd, x])
 
-    mask = _causal_mask(t_dec, start)
-    capture: list[np.ndarray] | None = [] if capture_attention else None
-    self_kv: list[KV] = []
-    for i in range(dims.layers):
-        h = ad.layer_norm(x, p[f"dec{i}/ln1/gamma"], p[f"dec{i}/ln1/beta"])
-        k, v = _project_kv(h, p, f"dec{i}/self")
-        if past is not None:
-            k = ad.concat_rows([past[i][0], k])
-            v = ad.concat_rows([past[i][1], v])
-        self_kv.append((k, v))
-        x = ad.add(x, _attention(h, k, v, p, f"dec{i}/self", dims.heads, mask=mask))
-        h = ad.layer_norm(x, p[f"dec{i}/ln2/gamma"], p[f"dec{i}/ln2/beta"])
-        ck, cv = cross[i]
-        x = ad.add(x, _attention(h, ck, cv, p, f"dec{i}/cross", dims.heads, capture=capture))
-        h = ad.layer_norm(x, p[f"dec{i}/ln3/gamma"], p[f"dec{i}/ln3/beta"])
-        x = ad.add(x, _ffn(h, p, f"dec{i}/ffn"))
-    x = ad.layer_norm(x, p["dec/ln/gamma"], p["dec/ln/beta"])
-    if cache is not None:
-        shape = (batch.shape[0], t_dec, dims.d)
-        cache.ids = batch
-        cache.self_kv = [tuple(t.data.reshape(shape) for t in kv) for kv in self_kv]
+        mask = _causal_mask(t_dec, start)
+        capture: list[np.ndarray] | None = [] if capture_attention else None
+        self_kv: list[KV] = []
+        for i in range(dims.layers):
+            h = ad.layer_norm(x, p[f"dec{i}/ln1/gamma"], p[f"dec{i}/ln1/beta"])
+            k, v = _project_kv(h, p, f"dec{i}/self")
+            if past is not None:
+                k = ad.concat_rows([past[i][0], k])
+                v = ad.concat_rows([past[i][1], v])
+            self_kv.append((k, v))
+            x = ad.add(x, _attention(h, k, v, p, f"dec{i}/self", dims.heads, mask=mask))
+            h = ad.layer_norm(x, p[f"dec{i}/ln2/gamma"], p[f"dec{i}/ln2/beta"])
+            ck, cv = cross[i]
+            x = ad.add(x, _attention(h, ck, cv, p, f"dec{i}/cross", dims.heads, capture=capture))
+            h = ad.layer_norm(x, p[f"dec{i}/ln3/gamma"], p[f"dec{i}/ln3/beta"])
+            x = ad.add(x, _ffn(h, p, f"dec{i}/ffn"))
+        x = ad.layer_norm(x, p["dec/ln/gamma"], p["dec/ln/beta"])
+        if cache is not None:
+            shape = (batch.shape[0], t_dec, dims.d)
+            cache.ids = batch
+            cache.self_kv = [tuple(t.data.reshape(shape) for t in kv) for kv in self_kv]
 
-    predict = ad.slice_rows(x, max(len_de - start, 0), t_dec - start)
-    logits = ad.matmul(predict, ad.transpose(backbone.embed, (1, 0)))
-    return logits, capture
+        predict = ad.slice_rows(x, max(len_de - start, 0), t_dec - start)
+        logits = ad.matmul(predict, ad.transpose(backbone.embed, (1, 0)))
+        return logits, capture
 
 
 def forward(

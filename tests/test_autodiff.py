@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptsum import autodiff as ad
 from promptsum.autodiff import Tensor
+from promptsum.model import _causal_mask
 
 
 def _numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -126,14 +129,6 @@ def test_gelu_gradient():
     _check_op(lambda x: _total(ad.gelu(x)), (4, 5))
 
 
-def test_softmax_rows_sum_to_one_and_gradient():
-    rng = np.random.default_rng(1)
-    x = Tensor(rng.normal(size=(3, 7)))
-    p = ad.softmax(x)
-    np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-12)
-    _check_op(lambda x: _total(ad.mul(ad.softmax(x), x)), (3, 5))
-
-
 def test_cross_entropy_matches_manual():
     rng = np.random.default_rng(2)
     logits = rng.normal(size=(4, 6))
@@ -190,3 +185,151 @@ def test_constants_collect_no_grad():
     out.backward()
     assert c.grad is None
     assert x.grad is not None
+
+
+def test_no_grad_records_no_tape():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    ones = Tensor(np.ones(4), requires_grad=True)
+    with ad.no_grad():
+        made = [ad.add(x, x), ad.mul(x, x), ad.scale(x, 2.0), ad.matmul(x, w)]
+        made += [ad.transpose(x, (1, 0, 2)), ad.reshape(x, (6, 4)), ad.concat_rows([x, x])]
+        made += [ad.slice_rows(x, 0, 2), ad.take_rows(w, [0, 0, 3]), ad.gelu(x)]
+        made += [ad.layer_norm(x, ones, ones), ad.attention(x, x, x, 0.5)]
+        made += [ad.cross_entropy_sum(w, [0, 1, 2, 3])[0], Tensor(np.ones(2), requires_grad=True)]
+    for t in made:
+        assert t._parents == () and t._backward is None
+    assert ad.add(x, x)._parents == (x, x)
+
+
+def test_no_grad_restored_after_nesting_and_exceptions():
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def records() -> bool:
+        return ad.add(x, x).requires_grad
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not records()
+        assert not records()
+    assert records()
+
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError
+    assert records()
+
+    @ad.no_grad()
+    def fails():
+        assert not records()
+        raise RuntimeError
+
+    with pytest.raises(RuntimeError):
+        fails()
+    assert records()
+
+
+# --------------------------------------------------------------------------
+# The fused attention op against the unfused chain it replaced
+# --------------------------------------------------------------------------
+
+
+def _softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis, numerically stabilized."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+    return Tensor(p, x.requires_grad, (x,), backward)
+
+
+def _unfused_attention(q, k, v, scale, mask=None, capture=None):
+    """matmul, scale, mask add, softmax, matmul: one tape node each."""
+    axes = list(range(k.data.ndim))
+    axes[-2], axes[-1] = axes[-1], axes[-2]
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, tuple(axes))), scale)
+    if mask is not None:
+        scores = ad.add(scores, mask)
+    probs = _softmax(scores)
+    if capture is not None:
+        capture.append(probs.data.copy())
+    return ad.matmul(probs, v)
+
+
+def test_softmax_rows_sum_to_one_and_gradient():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(3, 7)))
+    p = _softmax(x)
+    np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-12)
+    _check_op(lambda x: _total(ad.mul(_softmax(x), x)), (3, 5))
+
+
+@st.composite
+def _attention_cases(draw):
+    """Shapes, a mask and which operands need a gradient, for one call.
+
+    ``batch`` puts a leading axis on q only or on q, k and v. A causal mask
+    covers query rows start..t-1 over key rows 0..t-1, as a cached decoder
+    call uses it.
+    """
+    heads, dh = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    keys = draw(st.integers(1, 6))
+    masked = draw(st.booleans())
+    if masked:
+        start = draw(st.integers(0, keys - 1))
+        queries, mask = keys - start, _causal_mask(keys, start)
+    else:
+        queries, mask = draw(st.integers(1, 5)), None
+    batch = draw(st.sampled_from(["none", "q", "qkv"]))
+    lead = (draw(st.integers(1, 3)),) if batch != "none" else ()
+    q_shape = lead + (heads, queries, dh)
+    kv_lead = lead if batch == "qkv" else ()
+    shapes = (q_shape, kv_lead + (heads, keys, dh), kv_lead + (heads, keys, dh))
+    grads = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any))
+    return shapes, mask, grads, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_attention_cases())
+def test_attention_matches_the_unfused_chain_bitwise(case):
+    shapes, mask, grads, capture, seed = case
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=s) for s in shapes]
+    scale = 1.0 / np.sqrt(shapes[0][-1])
+
+    def run(op):
+        leaves = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, grads)]
+        probs = [] if capture else None
+        out = op(*leaves, scale, mask, probs)
+        weights = Tensor(np.random.default_rng(seed).normal(size=out.shape))
+        _total(ad.mul(out, weights)).backward()
+        return out, leaves, probs
+
+    out, leaves, probs = run(ad.attention)
+    ref_out, ref_leaves, ref_probs = run(_unfused_attention)
+    assert out.data.tobytes() == ref_out.data.tobytes()
+    for leaf, ref in zip(leaves, ref_leaves):
+        assert (leaf.grad is None) == (ref.grad is None)
+        if leaf.grad is not None:
+            assert leaf.grad.shape == ref.grad.shape
+            assert leaf.grad.tobytes() == ref.grad.tobytes()
+    if capture:
+        assert [p.tobytes() for p in probs] == [p.tobytes() for p in ref_probs]
+
+
+@pytest.mark.parametrize(
+    "shapes, start",
+    [
+        (((2, 3, 3), (2, 4, 3), (2, 4, 3)), None),
+        (((2, 2, 1, 3), (2, 4, 3), (2, 4, 3)), None),
+        (((2, 2, 2, 3), (2, 2, 4, 3), (2, 2, 4, 3)), 2),
+    ],
+    ids=["no batch", "batch on q", "batch on qkv, causal"],
+)
+def test_attention_gradient(shapes, start):
+    mask = None if start is None else _causal_mask(shapes[1][-2], start)
+    _check_op(lambda q, k, v: _total(ad.attention(q, k, v, 0.7, mask)), *shapes, atol=1e-4)

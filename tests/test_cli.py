@@ -419,6 +419,21 @@ class TestEvalCommands:
         assert len(preds) == 2
         assert "text" in json.loads(preds[0])
 
+    @pytest.mark.parametrize("command", ["evaluate", "zero-shot"])
+    def test_report_counts_skipped_records(self, corpus_dir, checkpoint, tmp_path, command):
+        data = tmp_path / "with_empty.jsonl"
+        write_jsonl(data, make_lead_corpus(2, seed=9) + [{"document": "", "summary": "A cat sat."}])
+        with pytest.warns(UserWarning, match="skipped 1"):
+            rc = dispatch([
+                command, "--checkpoint", checkpoint,
+                "--data", str(data), "--vocab", _vocab(corpus_dir),
+                "--beam", "1", "--max-len", "4",
+                "--out", str(tmp_path / "eval"),
+            ])
+        assert rc == 0
+        report = json.load(open(tmp_path / "eval" / "report.json"))
+        assert (report["n_examples"], report["n_skipped"]) == (2, 1)
+
     def test_generate_writes_predictions(self, corpus_dir, checkpoint):
         rc = dispatch([
             "generate", "--checkpoint", checkpoint,

@@ -135,6 +135,11 @@ class TestDocument:
         assert doc.flat_length == 6
         assert doc.flat == (4, 5, 6, 7, 8, 9)
 
+    def test_flat_is_built_once(self):
+        doc = make_doc([4, 5], [6])
+        assert doc.flat is doc.flat
+        assert doc == make_doc([4, 5], [6]) and hash(doc) == hash(make_doc([4, 5], [6]))
+
     def test_empty_document_rejected(self):
         with pytest.raises(EmptyDocumentError):
             Document(())

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from promptsum import autodiff as ad
 from promptsum import decoding
 from promptsum.corpus import EOS_ID
 from promptsum.decoding import beam_search, greedy_decode, sequence_logprob
+from promptsum.evaluation import export_attention, perplexity
+from promptsum.model import decode_logits, encode_source
 
-from conftest import make_doc, tiny_model
+from conftest import make_doc, make_pair, tiny_model
 
 
 def _stub_scorer(table):
@@ -177,3 +180,27 @@ class TestSequenceLogprob:
         backbone, prompts, config = tiny_model()
         with pytest.raises(ValueError):
             sequence_logprob(backbone, prompts, config, make_doc([4]), [])
+
+
+def test_inference_records_no_tape(monkeypatch, tmp_path):
+    backbone, prompts, config = tiny_model(seed=3)
+    doc = make_doc([4, 5, 6], [7])
+    taped = []
+    init = ad.Tensor.__init__
+
+    def spy(tensor, data, requires_grad=False, parents=(), backward=None):
+        if parents or backward is not None:
+            taped.append(tensor)
+        init(tensor, data, requires_grad, parents, backward)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", spy)
+    ids = beam_search(backbone, prompts, config, doc, beam=2, max_len=4)
+    greedy_decode(backbone, prompts, config, doc, max_len=4)
+    sequence_logprob(backbone, prompts, config, doc, ids)
+    perplexity(backbone, prompts, config, [(doc, ids)])
+    export_attention(backbone, prompts, config, make_pair(doc, [8]), tmp_path / "attention.txt")
+    enc = encode_source(backbone, prompts, config, doc)
+    assert taped  # the encoder, outside no_grad, records as before
+    taped.clear()
+    decode_logits(backbone, prompts, config, enc, [[]], cache=enc.cache)
+    assert not taped

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from promptsum import autodiff as ad
 from promptsum.corpus import EOS_ID, PAD_ID
+from promptsum.decoding import beam_search
 from promptsum.model import PromptConfig, forward, init_prompts
 from promptsum.training import (
     TrainConfig,
@@ -238,6 +239,22 @@ class TestTrainStep:
         assert entry["grad_norm"] == np.sqrt(sum((g * g).sum() for g in grads))
         assert entry["grad_norm"] > 0
         assert entry["wall_s"] > 0
+
+
+def test_train_step_after_decoding_matches_one_before():
+    doc = make_doc([4, 5, 6], [7, 8])
+    batch = [make_pair(doc, [9, 10]), make_pair(make_doc([11, 12]), [13])]
+
+    def step(decode_first: bool):
+        backbone, prompts, _ = tiny_model(seed=5)
+        backbone.freeze()
+        if decode_first:
+            beam_search(backbone, prompts, prompts.config, doc, beam=2, max_len=4)
+        config = _quick_config()
+        state, loss = train_step(init_train_state(prompts, backbone, config), backbone, batch, config)
+        return float(loss).hex(), {n: t.grad.tobytes() for n, t in prompts.named_tensors().items()}
+
+    assert step(decode_first=True) == step(decode_first=False)
 
 
 def _graph(root):
