@@ -2,10 +2,12 @@
 pre-training, few-shot fine-tuning, generation, evaluation, attention probing,
 and the ablation grid.
 
-Every run writes a manifest (command, resolved config, seeds, paths) into its
-output directory before doing any work and rewrites it on exit with the
-finish time, duration and status. A lock file holding the run's pid makes one
-run own the directory at a time.
+Each subcommand is declared once, in ``_COMMANDS``: its help, handler, flags,
+recorded inputs and outputs. Every run writes a manifest (command, resolved
+config, seeds, paths) into its output directory before doing any work and
+rewrites it on exit with the finish time, duration, status and the count of
+empty records skipped per dataset file. A lock file holding the run's pid
+makes one run own the directory at a time.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .corpus import (
-    CorpusError,
+    Dataset,
     Document,
     EmptyDocumentError,
     ParseError,
@@ -40,15 +43,8 @@ from .corpus import (
     tokenize,
     truncate_document,
 )
-from .evaluation import (
-    evaluate,
-    export_attention,
-    generate_predictions,
-    write_predictions,
-)
+from .evaluation import evaluate, export_attention, generate_predictions, write_predictions
 from .model import (
-    CheckpointError,
-    ConfigError,
     ModelDims,
     PromptConfig,
     compute_n_max,
@@ -110,43 +106,27 @@ def shipped_defaults() -> dict:
         return load_config_file(path)
 
 
-# Flags that overlay config-file keys when given on the command line.
-_FLAG_KEYS = (
-    ("d", "d"),
-    ("layers", "layers"),
-    ("heads", "heads"),
-    ("ffn", "ffn"),
-    ("max_pos", "max_pos"),
-    ("prompt_len_en", "prompt_len_en"),
-    ("prompt_len_de", "prompt_len_de"),
-    ("strategy", "strategy"),
-    ("k", "k"),
-    ("n_max", "n_max"),
-    ("shared", "shared"),
-    ("percentile", "percentile"),
-    ("max_src_tokens", "max_src_tokens"),
-    ("lead_n", "lead_n"),
-    ("min_sum", "min_sum"),
-    ("target_sum", "target_sum"),
-    ("m", "gsg_m"),
-    ("fewshot_size", "fewshot_size"),
-    ("batch", "batch"),
-    ("grad_accum", "grad_accum"),
-    ("beam", "beam"),
-    ("max_len", "max_len"),
-    ("seed", "seed"),
-    ("backbone_seed", "backbone_seed"),
-    ("mode", "mode"),
-)
+# Keys read with ``cfg.get`` or ``in cfg`` that the shipped defaults leave
+# unset; every other key takes its type from its default.
+_OPTIONAL_KEY_TYPES = {
+    "mode": str, "backbone_seed": int, "pretrain_warmup_steps": int, "finetune_warmup_ratio": float
+}
 
 
 def resolve_config(args) -> dict:
+    """Shipped defaults, then the ``--config`` file, then each given flag whose dest is a key."""
     cfg = shipped_defaults()
+    types = {key: type(value) for key, value in cfg.items()} | _OPTIONAL_KEY_TYPES
     if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config))
-    for attr, key in _FLAG_KEYS:
-        value = getattr(args, attr, None)
-        if value is not None:
+        overlay = load_config_file(args.config)
+        for key, value in overlay.items():
+            want = types.get(key)
+            # An int is a valid float; a bool is not an int here.
+            if want and type(value) is not want and not (want is float and type(value) is int):
+                raise CliError(f"{args.config}: {key} must be {want.__name__}, got {value!r}")
+        cfg.update(overlay)
+    for key, value in vars(args).items():
+        if key in types and value is not None:
             cfg[key] = value
     return cfg
 
@@ -171,14 +151,15 @@ def _stale_lock_pid(lock: str) -> int | None:
     return None
 
 
-def _write_json(path, payload) -> None:
+def _write_json(path, payload, sort_keys: bool = False) -> None:
     with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
 
 
 @contextmanager
-def _run(out_dir, command: str, cfg: dict, inputs: dict, outputs: list[str], argv=None):
+def _run(out_dir, command: str, cfg: dict, inputs: dict, outputs: list[str], argv: list[str]):
+    """Own ``out_dir`` for one run and keep its manifest; yields its skipped-record counts."""
     os.makedirs(out_dir, exist_ok=True)
     lock = os.path.join(out_dir, ".lock")
     try:
@@ -198,53 +179,39 @@ def _run(out_dir, command: str, cfg: dict, inputs: dict, outputs: list[str], arg
         path = os.path.join(out_dir, "manifest.json")
         manifest = {
             "command": command,
-            "argv": list(argv) if argv is not None else None,
+            "argv": argv,
             "config": cfg,
             "inputs": inputs,
             "outputs": outputs,
+            "n_skipped": {},
             "version": __version__,
             "started_utc": datetime.now(timezone.utc).isoformat(),
         }
-        _write_json(path, manifest)
+        _write_json(path, manifest, sort_keys=True)
         manifest.update(status="ok", error=None)
         try:
-            yield
+            yield manifest["n_skipped"]
         except BaseException as exc:
             manifest.update(status="error", error=str(exc) or type(exc).__name__)
             raise
         finally:
             manifest["finished_utc"] = datetime.now(timezone.utc).isoformat()
             manifest["duration_s"] = time.perf_counter() - started
-            _write_json(path, manifest)
+            _write_json(path, manifest, sort_keys=True)
     finally:
         fd.close()
         os.unlink(lock)
 
 
 def _write_train_log(out_dir, history: list[dict]) -> None:
-    with atomic_open(os.path.join(out_dir, "train_log.jsonl")) as fh:
-        for entry in history:
-            fh.write(json.dumps(entry) + "\n")
+    write_predictions(os.path.join(out_dir, "train_log.jsonl"), history)  # any rows, one JSON line each
 
 
-def _read_documents(path) -> list[str]:
-    texts = []
-    for lineno, record in read_records(path):
-        if "document" not in record:
-            raise ParseError(f"{path}: line {lineno}: record must have 'document'")
-        texts.append(str(record["document"]))
-    return texts
-
-
-def _dims(cfg: dict, vocab: Vocab) -> ModelDims:
-    return ModelDims(
-        d=cfg["d"],
-        layers=cfg["layers"],
-        heads=cfg["heads"],
-        ffn=cfg["ffn"],
-        vocab=len(vocab),
-        max_pos=cfg["max_pos"],
-    )
+def _load(args, flag: str, vocab: Vocab, cfg: dict, skipped: dict) -> Dataset:
+    """The dataset named by ``--<flag>``; its skipped-record count goes to the manifest."""
+    data = load_dataset(getattr(args, flag), vocab, cfg["max_src_tokens"])
+    skipped[flag] = data.skipped
+    return data
 
 
 def _check_vocab(backbone, vocab: Vocab, source: str) -> None:
@@ -255,21 +222,27 @@ def _check_vocab(backbone, vocab: Vocab, source: str) -> None:
         )
 
 
+def _load_checkpoint(args):
+    """``(backbone, prompts, vocab)`` from ``--checkpoint`` and ``--vocab``, of one vocabulary size."""
+    backbone, prompts = load_checkpoint(args.checkpoint)
+    vocab = load_vocab(args.vocab)
+    _check_vocab(backbone, vocab, args.checkpoint)
+    return backbone, prompts, vocab
+
+
 def _backbone_from_args(args, cfg: dict, vocab: Vocab):
-    if getattr(args, "backbone", None):
+    if args.backbone:
         backbone, _ = load_checkpoint(args.backbone)
         _check_vocab(backbone, vocab, args.backbone)
         return backbone
-    seed = args.backbone_seed if getattr(args, "backbone_seed", None) is not None else cfg["seed"]
-    return init_backbone(_dims(cfg, vocab), seed)
+    sizes = {key: cfg[key] for key in ("d", "layers", "heads", "ffn", "max_pos")}
+    return init_backbone(ModelDims(vocab=len(vocab), **sizes), cfg.get("backbone_seed", cfg["seed"]))
 
 
-def _prompt_config(cfg: dict, docs: list[Document] | None) -> PromptConfig:
+def _prompt_config(cfg: dict, docs: list[Document]) -> PromptConfig:
     strategy = cfg["strategy"]
     n_max = cfg.get("n_max") or 0
     if n_max < 1 and strategy in ("sequential", "fixed_k"):
-        if not docs:
-            raise CliError("n_max not set and no documents to derive it from")
         unit = "sentence" if strategy == "sequential" else "span_k"
         n_max = compute_n_max(docs, percentile=cfg["percentile"], unit=unit, k=cfg["k"])
     return PromptConfig(
@@ -307,6 +280,17 @@ def _train_config(cfg: dict, args, stage: str) -> TrainConfig:
     )
 
 
+def _train(args, cfg: dict, stage: str, prompts, backbone, train: list, dev: list):
+    tc = _train_config(cfg, args, stage)
+    return run_stage(stage, train, dev, init_train_state(prompts, backbone, tc), backbone, tc)
+
+
+def _save_trained(args, backbone, state, what: str) -> None:
+    save_checkpoint(os.path.join(args.out, "checkpoint.npz"), backbone, state.prompts)
+    _write_train_log(args.out, state.loss_history)
+    print(f"{what}: {state.step} steps")
+
+
 def _render_document(doc: Document, vocab: Vocab) -> str:
     """Sentence-wise detokenization with a leading capital per sentence, so the
     sentence splitter recovers the boundaries on reload."""
@@ -322,188 +306,154 @@ def _render_document(doc: Document, vocab: Vocab) -> str:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: handler(parsed flags, resolved config, skipped-count dict)
 # --------------------------------------------------------------------------
 
 
-def cmd_build_vocab(args) -> int:
-    cfg = resolve_config(args)
-    with _run(args.out, "build-vocab", cfg, {"data": args.data}, ["vocab.txt"], argv=args.argv):
-        texts = []
-        for _, record in read_records(args.data):
-            texts.append(str(record.get("document", "")))
-            texts.append(str(record.get("summary", "")))
-        vocab = build_vocab(texts, min_freq=args.min_freq)
-        save_vocab(vocab, os.path.join(args.out, "vocab.txt"))
-        print(f"vocab: {len(vocab)} tokens")
-    return 0
+def cmd_build_vocab(args, cfg: dict, skipped: dict) -> None:
+    texts = []
+    for _, record in read_records(args.data):
+        texts.append(str(record.get("document", "")))
+        texts.append(str(record.get("summary", "")))
+    vocab = build_vocab(texts, min_freq=args.min_freq)
+    save_vocab(vocab, os.path.join(args.out, "vocab.txt"))
+    print(f"vocab: {len(vocab)} tokens")
 
 
-def cmd_build_pseudo(args) -> int:
-    cfg = resolve_config(args)
-    strategy = args.pseudo_strategy
-    do_filter = args.filter if args.filter is not None else args.fewshot is not None
-    if do_filter and not args.fewshot:
+def _check_filter(args) -> None:
+    """``--filter`` defaults to on exactly when a few-shot file is given."""
+    if args.filter is None:
+        args.filter = args.fewshot is not None
+    if args.filter and not args.fewshot:
         raise CliError("--filter requires --fewshot for the threshold")
-    outputs = ["pseudo.jsonl", "stats.json"]
-    with _run(args.out, "build-pseudo", cfg, {"data": args.data, "fewshot": args.fewshot}, outputs, argv=args.argv):
-        vocab = load_vocab(args.vocab)
-        texts = _read_documents(args.data)
-        pairs = []
-        rejected: dict[str, int] = {}
-        skipped = 0
-        for text in texts:
-            try:
-                if strategy == "lead":
-                    doc = _lead_document(text, vocab, cfg)
-                    result = build_lead_pair(
-                        doc, lead_n=cfg["lead_n"], min_sum=cfg["min_sum"], target_sum=cfg["target_sum"]
-                    )
-                else:
-                    doc = truncate_document(encode_document(text, vocab), cfg["max_src_tokens"])
-                    result = build_gsg_pair(doc, m=cfg["gsg_m"])
-            except EmptyDocumentError:
-                skipped += 1
-                continue
-            if isinstance(result, Rejection):
-                rejected[result.reason] = rejected.get(result.reason, 0) + 1
+
+
+def cmd_build_pseudo(args, cfg: dict, skipped: dict) -> None:
+    vocab = load_vocab(args.vocab)
+    texts = []
+    for lineno, record in read_records(args.data):
+        if "document" not in record:
+            raise ParseError(f"{args.data}: line {lineno}: record must have 'document'")
+        texts.append(str(record["document"]))
+    pairs = []
+    rejected: dict[str, int] = {}
+    unreadable = 0
+    for text in texts:
+        try:
+            if args.pseudo_strategy == "lead":
+                doc = _lead_document(text, vocab, cfg)
+                result = build_lead_pair(
+                    doc, lead_n=cfg["lead_n"], min_sum=cfg["min_sum"], target_sum=cfg["target_sum"]
+                )
             else:
-                pairs.append(result)
+                doc = truncate_document(encode_document(text, vocab), cfg["max_src_tokens"])
+                result = build_gsg_pair(doc, m=cfg["gsg_m"])
+        except EmptyDocumentError:
+            unreadable += 1
+            continue
+        if isinstance(result, Rejection):
+            rejected[result.reason] = rejected.get(result.reason, 0) + 1
+        else:
+            pairs.append(result)
 
-        stats = {
-            "n_records": len(texts),
-            "n_unreadable": skipped,
-            "n_built": len(pairs),
-            "rejections": rejected,
-            "threshold": None,
-            "n_fewshot_skipped": None,
-            "n_output": len(pairs),
+    stats = {
+        "n_records": len(texts),
+        "n_unreadable": unreadable,
+        "n_built": len(pairs),
+        "rejections": rejected,
+        "threshold": None,
+        "n_fewshot_skipped": None,
+        "n_output": len(pairs),
+    }
+    if args.filter:
+        fewshot = _load(args, "fewshot", vocab, cfg, skipped)
+        threshold = compute_filter_threshold(fewshot)
+        pairs = filter_pseudo(pairs, threshold)
+        stats["threshold"] = {
+            "epsilon": threshold.epsilon,
+            "sigma2": threshold.sigma2,
+            "value": threshold.threshold,
         }
-        if do_filter:
-            fewshot = load_dataset(args.fewshot, vocab, cfg["max_src_tokens"])
-            threshold = compute_filter_threshold(fewshot)
-            pairs = filter_pseudo(pairs, threshold)
-            stats["threshold"] = {
-                "epsilon": threshold.epsilon,
-                "sigma2": threshold.sigma2,
-                "value": threshold.threshold,
-            }
-            stats["n_fewshot_skipped"] = fewshot.skipped
-            stats["n_output"] = len(pairs)
+        stats["n_fewshot_skipped"] = fewshot.skipped
+        stats["n_output"] = len(pairs)
 
-        with atomic_open(os.path.join(args.out, "pseudo.jsonl")) as fh:
-            for pair in pairs:
-                record = {
-                    "document": _render_document(pair.document, vocab),
-                    "summary": detokenize(pair.summary_content, vocab),
-                }
-                fh.write(json.dumps(record) + "\n")
-        with atomic_open(os.path.join(args.out, "stats.json")) as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"pseudo pairs: {stats['n_output']} (built {stats['n_built']} of {len(texts)})")
-    return 0
+    with atomic_open(os.path.join(args.out, "pseudo.jsonl")) as fh:
+        for pair in pairs:
+            record = {
+                "document": _render_document(pair.document, vocab),
+                "summary": detokenize(pair.summary_content, vocab),
+            }
+            fh.write(json.dumps(record) + "\n")
+    _write_json(os.path.join(args.out, "stats.json"), stats)
+    print(f"pseudo pairs: {stats['n_output']} (built {stats['n_built']} of {len(texts)})")
 
 
 def _lead_document(text: str, vocab: Vocab, cfg: dict) -> Document:
     """Sentence-split, clean the lead sentences, tokenize, truncate."""
     sentences = split_sentences(text)
-    lead_n = cfg["lead_n"]
-    cleaned: list[str] = []
-    for i, sent in enumerate(sentences):
-        if i < lead_n:
-            sent = clean_summary_text(sent)
-            if not sent:
-                continue
-        cleaned.append(sent)
+    cleaned = [clean_summary_text(s) if i < cfg["lead_n"] else s for i, s in enumerate(sentences)]
+    # A lead sentence that is all byline cleans to nothing and is dropped; a
+    # document left with no sentence raises EmptyDocumentError in Document.
     token_sents = [tuple(tokenize(s, vocab)) for s in cleaned]
     token_sents = [s for s in token_sents if s]
-    if not token_sents:
-        raise EmptyDocumentError("document empty after cleaning")
     return truncate_document(Document(tuple(token_sents)), cfg["max_src_tokens"])
 
 
-def cmd_pretrain_backbone(args) -> int:
-    cfg = resolve_config(args)
-    cfg["mode"] = "full_model"
-    with _run(args.out, "pretrain-backbone", cfg, {"data": args.data}, ["checkpoint.npz", "train_log.jsonl"], argv=args.argv):
-        vocab = load_vocab(args.vocab)
-        data = load_dataset(args.data, vocab, cfg["max_src_tokens"])
-        backbone = _backbone_from_args(args, cfg, vocab)
-        config = PromptConfig(len_en=0, len_de=0, strategy="none")
-        prompts = init_prompts(config, backbone, cfg["seed"])
-        tc = _train_config(cfg, args, "pretrain")
-        state = init_train_state(prompts, backbone, tc)
-        state = run_stage("pretrain", data, [], state, backbone, tc)
-        save_checkpoint(os.path.join(args.out, "checkpoint.npz"), backbone, prompts)
-        _write_train_log(args.out, state.loss_history)
-        print(f"pretrained backbone: {state.step} steps")
-    return 0
-
-
-def cmd_pretrain_prompts(args) -> int:
-    cfg = resolve_config(args)
-    cfg["mode"] = "prompt_only"
-    with _run(args.out, "pretrain-prompts", cfg, {"data": args.data, "backbone": args.backbone}, ["checkpoint.npz", "train_log.jsonl"], argv=args.argv):
-        vocab = load_vocab(args.vocab)
-        data = load_dataset(args.data, vocab, cfg["max_src_tokens"])
-        dev = load_dataset(args.dev, vocab, cfg["max_src_tokens"]) if args.dev else []
-        backbone = _backbone_from_args(args, cfg, vocab)
-        config = _prompt_config(cfg, [p.document for p in data])
-        prompts = init_prompts(config, backbone, cfg["seed"])
-        tc = _train_config(cfg, args, "pretrain")
-        state = init_train_state(prompts, backbone, tc)
-        state = run_stage("pretrain", data, dev, state, backbone, tc)
-        save_checkpoint(os.path.join(args.out, "checkpoint.npz"), backbone, state.prompts)
-        _write_train_log(args.out, state.loss_history)
-        print(f"pretrained prompts: {state.step} steps")
-    return 0
-
-
-def cmd_finetune(args) -> int:
-    cfg = resolve_config(args)
-    with _run(args.out, "finetune", cfg, {"checkpoint": args.checkpoint, "data": args.data, "train": args.train, "dev": args.dev}, ["checkpoint.npz", "train_log.jsonl"], argv=args.argv):
-        backbone, prompts = load_checkpoint(args.checkpoint)
-        vocab = load_vocab(args.vocab)
-        _check_vocab(backbone, vocab, args.checkpoint)
-        if args.train:
-            train = load_dataset(args.train, vocab, cfg["max_src_tokens"])
-            dev = load_dataset(args.dev, vocab, cfg["max_src_tokens"]) if args.dev else []
-        else:
-            if not args.data:
-                raise CliError("provide --data (with --fewshot-size) or --train/--dev")
-            pairs = load_dataset(args.data, vocab, cfg["max_src_tokens"])
-            split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
-            train, dev = list(split.train), list(split.dev)
-        tc = _train_config(cfg, args, "finetune")
-        state = init_train_state(prompts, backbone, tc)
-        state = run_stage("finetune", train, dev, state, backbone, tc)
-        save_checkpoint(os.path.join(args.out, "checkpoint.npz"), backbone, state.prompts)
-        _write_train_log(args.out, state.loss_history)
-        print(f"finetuned: {state.step} steps")
-    return 0
-
-
-def cmd_generate(args) -> int:
-    cfg = resolve_config(args)
-    with _run(args.out, "generate", cfg, {"checkpoint": args.checkpoint, "data": args.data}, ["predictions.jsonl"], argv=args.argv):
-        backbone, prompts = load_checkpoint(args.checkpoint)
-        vocab = load_vocab(args.vocab)
-        _check_vocab(backbone, vocab, args.checkpoint)
-        test = load_dataset(args.data, vocab, cfg["max_src_tokens"])
-        records = generate_predictions(
-            backbone, prompts, prompts.config, test, cfg["beam"], cfg["max_len"], vocab=vocab
-        )
-        write_predictions(os.path.join(args.out, "predictions.jsonl"), records)
-        print(f"generated {len(records)} summaries")
-    return 0
-
-
-def _evaluate_checkpoint(args, cfg: dict) -> int:
-    backbone, prompts = load_checkpoint(args.checkpoint)
+def cmd_pretrain_backbone(args, cfg: dict, skipped: dict) -> None:
     vocab = load_vocab(args.vocab)
-    _check_vocab(backbone, vocab, args.checkpoint)
-    test = load_dataset(args.data, vocab, cfg["max_src_tokens"])
+    data = _load(args, "data", vocab, cfg, skipped)
+    backbone = _backbone_from_args(args, cfg, vocab)
+    config = PromptConfig(len_en=0, len_de=0, strategy="none")
+    prompts = init_prompts(config, backbone, cfg["seed"])
+    state = _train(args, cfg, "pretrain", prompts, backbone, data, [])
+    _save_trained(args, backbone, state, "pretrained backbone")
+
+
+def cmd_pretrain_prompts(args, cfg: dict, skipped: dict) -> None:
+    vocab = load_vocab(args.vocab)
+    data = _load(args, "data", vocab, cfg, skipped)
+    dev = _load(args, "dev", vocab, cfg, skipped) if args.dev else []
+    backbone = _backbone_from_args(args, cfg, vocab)
+    config = _prompt_config(cfg, [p.document for p in data])
+    prompts = init_prompts(config, backbone, cfg["seed"])
+    state = _train(args, cfg, "pretrain", prompts, backbone, data, dev)
+    _save_trained(args, backbone, state, "pretrained prompts")
+
+
+def cmd_finetune(args, cfg: dict, skipped: dict) -> None:
+    backbone, prompts, vocab = _load_checkpoint(args)
+    if args.train:
+        train = _load(args, "train", vocab, cfg, skipped)
+        dev = _load(args, "dev", vocab, cfg, skipped) if args.dev else []
+    else:
+        if not args.data:
+            raise CliError("provide --data (with --fewshot-size) or --train/--dev")
+        pairs = _load(args, "data", vocab, cfg, skipped)
+        split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
+        train, dev = list(split.train), list(split.dev)
+    state = _train(args, cfg, "finetune", prompts, backbone, train, dev)
+    _save_trained(args, backbone, state, "finetuned")
+
+
+def cmd_generate(args, cfg: dict, skipped: dict) -> None:
+    backbone, prompts, vocab = _load_checkpoint(args)
+    test = _load(args, "data", vocab, cfg, skipped)
+    records = generate_predictions(
+        backbone, prompts, prompts.config, test, cfg["beam"], cfg["max_len"], vocab=vocab
+    )
+    write_predictions(os.path.join(args.out, "predictions.jsonl"), records)
+    print(f"generated {len(records)} summaries")
+
+
+def _check_zero_shot_checkpoint(args) -> None:
+    if not os.path.exists(args.checkpoint):
+        raise CliError(f"missing pretrained-prompts checkpoint: {args.checkpoint}")
+
+
+def cmd_evaluate(args, cfg: dict, skipped: dict) -> None:
+    """``evaluate`` and ``zero-shot``: ROUGE and perplexity of a checkpoint."""
+    backbone, prompts, vocab = _load_checkpoint(args)
+    test = _load(args, "data", vocab, cfg, skipped)
     report, records = evaluate(
         backbone, prompts, prompts.config, test, cfg["beam"], cfg["max_len"], vocab=vocab
     )
@@ -517,44 +467,22 @@ def _evaluate_checkpoint(args, cfg: dict) -> int:
         "n_skipped": test.skipped,
         "fingerprint": report.fingerprint,
     }
-    with atomic_open(os.path.join(args.out, "report.json")) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "report.json"), payload)
     print(
         f"r1={report.r1_f1:.4f} r2={report.r2_f1:.4f} rl={report.rl_f1:.4f} "
         f"ppl={report.ppl:.2f} n={report.n_examples}"
     )
-    return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
-    with _run(args.out, "evaluate", cfg, {"checkpoint": args.checkpoint, "data": args.data}, ["report.json", "predictions.jsonl"], argv=args.argv):
-        return _evaluate_checkpoint(args, cfg)
-
-
-def cmd_zero_shot(args) -> int:
-    cfg = resolve_config(args)
-    if not os.path.exists(args.checkpoint):
-        raise CliError(f"missing pretrained-prompts checkpoint: {args.checkpoint}")
-    with _run(args.out, "zero-shot", cfg, {"checkpoint": args.checkpoint, "data": args.data}, ["report.json", "predictions.jsonl"], argv=args.argv):
-        return _evaluate_checkpoint(args, cfg)
-
-
-def cmd_probe_attention(args) -> int:
-    cfg = resolve_config(args)
-    with _run(args.out, "probe-attention", cfg, {"checkpoint": args.checkpoint, "data": args.data}, ["attention.txt"], argv=args.argv):
-        backbone, prompts = load_checkpoint(args.checkpoint)
-        vocab = load_vocab(args.vocab)
-        _check_vocab(backbone, vocab, args.checkpoint)
-        test = load_dataset(args.data, vocab, cfg["max_src_tokens"])
-        if not 0 <= args.index < len(test):
-            raise CliError(f"--index {args.index} out of range (0..{len(test) - 1})")
-        record = export_attention(
-            backbone, prompts, prompts.config, test[args.index], os.path.join(args.out, "attention.txt")
-        )
-        print(f"attention matrix: {record.matrix.shape[0]} x {record.matrix.shape[1]}")
-    return 0
+def cmd_probe_attention(args, cfg: dict, skipped: dict) -> None:
+    backbone, prompts, vocab = _load_checkpoint(args)
+    test = _load(args, "data", vocab, cfg, skipped)
+    if not 0 <= args.index < len(test):
+        raise CliError(f"--index {args.index} out of range (0..{len(test) - 1})")
+    record = export_attention(
+        backbone, prompts, prompts.config, test[args.index], os.path.join(args.out, "attention.txt")
+    )
+    print(f"attention matrix: {record.matrix.shape[0]} x {record.matrix.shape[1]}")
 
 
 _ABLATION_VARIANTS = (
@@ -569,239 +497,211 @@ _ABLATION_VARIANTS = (
 )
 
 
-def cmd_ablate(args) -> int:
-    cfg = resolve_config(args)
-    outputs = ["ablation.tsv", "ablation.json"]
-    with _run(args.out, "ablate", cfg, {"data": args.data}, outputs, argv=args.argv):
-        vocab = load_vocab(args.vocab)
-        pairs = load_dataset(args.data, vocab, cfg["max_src_tokens"])
-        split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
-        backbone = _backbone_from_args(args, cfg, vocab)
-        train_docs = [p.document for p in split.train]
+def cmd_ablate(args, cfg: dict, skipped: dict) -> None:
+    vocab = load_vocab(args.vocab)
+    pairs = _load(args, "data", vocab, cfg, skipped)
+    split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
+    backbone = _backbone_from_args(args, cfg, vocab)
+    train_docs = [p.document for p in split.train]
 
-        variants: list[tuple[str, dict]] = list(_ABLATION_VARIANTS)
-        if args.k_grid:
-            for k in args.k_grid:
-                variants.append((f"fixed_k k={k}", {"strategy": "fixed_k", "k": k}))
+    k_sweep = tuple((f"fixed_k k={k}", {"strategy": "fixed_k", "k": k}) for k in args.k_grid or ())
 
-        rows = []
-        for name, overrides in variants:
-            vcfg = dict(cfg)
-            vcfg.update({k: v for k, v in overrides.items() if k in ("strategy", "k")})
-            config = _prompt_config(vcfg, train_docs)
-            config = replace(
-                config,
-                shared=bool(overrides.get("shared", False)),
-                encoder_only=bool(overrides.get("encoder_only", False)),
-                decoder_only=bool(overrides.get("decoder_only", False)),
-            )
-            prompts = init_prompts(config, backbone, cfg["seed"])
-            tc = _train_config(cfg, args, "finetune")
-            state = init_train_state(prompts, backbone, tc)
-            state = run_stage("finetune", list(split.train), list(split.dev), state, backbone, tc)
-            report, _ = evaluate(
-                backbone, state.prompts, config, list(split.dev), cfg["beam"], cfg["max_len"]
-            )
-            rows.append(
-                {
-                    "variant": name,
-                    "r1_f1": report.r1_f1,
-                    "r2_f1": report.r2_f1,
-                    "rl_f1": report.rl_f1,
-                    "trainable_params": count_trainable_params(config, backbone.dims.d),
-                }
-            )
-            print(f"{name}: r1={report.r1_f1:.4f}")
+    rows = []
+    for name, overrides in _ABLATION_VARIANTS + k_sweep:
+        config = replace(
+            _prompt_config({**cfg, **overrides}, train_docs),
+            shared=overrides.get("shared", False),
+            encoder_only=overrides.get("encoder_only", False),
+            decoder_only=overrides.get("decoder_only", False),
+        )
+        prompts = init_prompts(config, backbone, cfg["seed"])
+        state = _train(args, cfg, "finetune", prompts, backbone, list(split.train), list(split.dev))
+        report, _ = evaluate(
+            backbone, state.prompts, config, list(split.dev), cfg["beam"], cfg["max_len"]
+        )
+        rows.append(
+            {
+                "variant": name,
+                "r1_f1": report.r1_f1,
+                "r2_f1": report.r2_f1,
+                "rl_f1": report.rl_f1,
+                "trainable_params": count_trainable_params(config, backbone.dims.d),
+            }
+        )
+        print(f"{name}: r1={report.r1_f1:.4f}")
 
-        with atomic_open(os.path.join(args.out, "ablation.tsv")) as fh:
-            fh.write("variant\tr1_f1\tr2_f1\trl_f1\ttrainable_params\n")
-            for row in rows:
-                fh.write(
-                    f"{row['variant']}\t{row['r1_f1']:.6f}\t{row['r2_f1']:.6f}\t"
-                    f"{row['rl_f1']:.6f}\t{row['trainable_params']}\n"
-                )
-        with atomic_open(os.path.join(args.out, "ablation.json")) as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-    return 0
+    with atomic_open(os.path.join(args.out, "ablation.tsv")) as fh:
+        fh.write("variant\tr1_f1\tr2_f1\trl_f1\ttrainable_params\n")
+        for row in rows:
+            fh.write(
+                f"{row['variant']}\t{row['r1_f1']:.6f}\t{row['r2_f1']:.6f}\t"
+                f"{row['rl_f1']:.6f}\t{row['trainable_params']}\n"
+            )
+    _write_json(os.path.join(args.out, "ablation.json"), rows)
 
 
 # --------------------------------------------------------------------------
-# parser
+# command table and parser
 # --------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, out: bool = True) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--seed", type=int)
-    if out:
-        sub.add_argument("--out", required=True, help="output directory")
+def _flag(name: str, **kwargs) -> tuple[str, dict]:
+    """One flag: its name and its ``add_argument`` keywords."""
+    return name, kwargs
 
 
-def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--d", type=int)
-    sub.add_argument("--layers", type=int)
-    sub.add_argument("--heads", type=int)
-    sub.add_argument("--ffn", type=int)
-    sub.add_argument("--max-pos", dest="max_pos", type=int)
-    sub.add_argument("--backbone", help="checkpoint to take the backbone from")
-    sub.add_argument("--backbone-seed", dest="backbone_seed", type=int)
+# Flag groups, in help order. A flag whose dest is a config key overlays
+# that key when given (see ``resolve_config``).
+_COMMON_FLAGS = (
+    _flag("--config", help="key = value config file"),
+    _flag("--seed", type=int),
+    _flag("--out", required=True, help="output directory"),
+)
+_VOCAB_FLAGS = (_flag("--vocab", required=True, help="vocab file"), _flag("--max-src-tokens", type=int))
+_MODEL_FLAGS = (
+    _flag("--d", type=int),
+    _flag("--layers", type=int),
+    _flag("--heads", type=int),
+    _flag("--ffn", type=int),
+    _flag("--max-pos", type=int),
+    _flag("--backbone", help="checkpoint to take the backbone from"),
+    _flag("--backbone-seed", type=int),
+)
+_PROMPT_FLAGS = (
+    _flag("--prompt-len-en", type=int),
+    _flag("--prompt-len-de", type=int),
+    _flag("--strategy", choices=["none", "interval", "sequential", "fixed_k"]),
+    _flag("--k", type=int),
+    _flag("--n-max", type=int),
+    _flag("--shared", action=argparse.BooleanOptionalAction, default=None),
+    _flag("--percentile", type=float),
+)
+_TRAIN_FLAGS = (
+    _flag("--mode", choices=["prompt_only", "full_model"]),
+    _flag("--epochs", type=int),
+    _flag("--peak-lr", type=float),
+    _flag("--warmup-steps", type=int),
+    _flag("--warmup-ratio", type=float),
+    _flag("--batch", type=int),
+    _flag("--grad-accum", type=int),
+)
+_DECODE_FLAGS = (_flag("--beam", type=int), _flag("--max-len", type=int))
+_DATA = _flag("--data", required=True)
+_CHECKPOINT = _flag("--checkpoint", required=True)
+_FEWSHOT_SIZE = _flag("--fewshot-size", type=int)
 
 
-def _add_prompt_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--prompt-len-en", dest="prompt_len_en", type=int)
-    sub.add_argument("--prompt-len-de", dest="prompt_len_de", type=int)
-    sub.add_argument("--strategy", choices=["none", "interval", "sequential", "fixed_k"])
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--n-max", dest="n_max", type=int)
-    sub.add_argument("--shared", action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--percentile", type=float)
+class _Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace, dict, dict], None]
+    inputs: tuple[str, ...]  # dests of the input paths the manifest records
+    outputs: tuple[str, ...]  # files the run writes into --out
+    flags: tuple  # after the common flags, in help order
+    check: Callable[[argparse.Namespace], None] | None = None  # before --out is created
+    mode: str | None = None  # training mode the command fixes in the config
 
 
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=["prompt_only", "full_model"])
-    sub.add_argument("--epochs", type=int)
-    sub.add_argument("--peak-lr", dest="peak_lr", type=float)
-    sub.add_argument("--warmup-steps", dest="warmup_steps", type=int)
-    sub.add_argument("--warmup-ratio", dest="warmup_ratio", type=float)
-    sub.add_argument("--batch", type=int)
-    sub.add_argument("--grad-accum", dest="grad_accum", type=int)
+_TRAINED = ("checkpoint.npz", "train_log.jsonl")
+_EVALUATED = ("report.json", "predictions.jsonl")
+_CHECKPOINT_AND_DATA = ("checkpoint", "data")
+_K_GRID = _flag("--k-grid", type=lambda s: [int(v) for v in s.split(",")], default=None)
+
+_COMMANDS = {
+    "build-vocab": _Command(
+        "build a vocabulary from a dataset file", cmd_build_vocab, ("data",), ("vocab.txt",),
+        (_DATA, _flag("--min-freq", type=int, default=1)),
+    ),
+    "build-pseudo": _Command(
+        "construct pseudo summary pairs", cmd_build_pseudo, ("data", "fewshot"), ("pseudo.jsonl", "stats.json"),
+        (
+            *_VOCAB_FLAGS,
+            _DATA,
+            _flag("--strategy", dest="pseudo_strategy", choices=["lead", "gsg"], required=True),
+            _flag("--m", dest="gsg_m", metavar="M", type=int, help="sentences removed per document (gsg)"),
+            _flag("--lead-n", type=int),
+            _flag("--min-sum", type=int),
+            _flag("--target-sum", type=int),
+            _flag("--filter", action=argparse.BooleanOptionalAction, default=None),
+            _flag("--fewshot", help="few-shot file for the filter threshold"),
+        ),
+        check=_check_filter,
+    ),
+    "pretrain-backbone": _Command(
+        "full-model training of the toy backbone", cmd_pretrain_backbone, ("data",), _TRAINED,
+        (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_TRAIN_FLAGS, _DATA),
+        mode="full_model",
+    ),
+    "pretrain-prompts": _Command(
+        "prompt-only training on pseudo pairs", cmd_pretrain_prompts, ("data", "backbone"), _TRAINED,
+        (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_PROMPT_FLAGS, *_TRAIN_FLAGS, _DATA, _flag("--dev")),
+        mode="prompt_only",
+    ),
+    "finetune": _Command(
+        "few-shot tuning from a checkpoint", cmd_finetune, ("checkpoint", "data", "train", "dev"), _TRAINED,
+        (*_VOCAB_FLAGS, *_TRAIN_FLAGS, _CHECKPOINT, _flag("--data"), _FEWSHOT_SIZE, _flag("--train"), _flag("--dev")),
+    ),
+    "generate": _Command(
+        "decode summaries for a dataset", cmd_generate, _CHECKPOINT_AND_DATA, ("predictions.jsonl",),
+        (*_VOCAB_FLAGS, *_DECODE_FLAGS, _CHECKPOINT, _DATA),
+    ),
+    "evaluate": _Command(
+        "ROUGE + perplexity report", cmd_evaluate, _CHECKPOINT_AND_DATA, _EVALUATED,
+        (*_VOCAB_FLAGS, *_DECODE_FLAGS, _CHECKPOINT, _DATA),
+    ),
+    "zero-shot": _Command(
+        "evaluate pretrained prompts without finetuning", cmd_evaluate, _CHECKPOINT_AND_DATA, _EVALUATED,
+        (*_VOCAB_FLAGS, *_DECODE_FLAGS, _CHECKPOINT, _DATA),
+        check=_check_zero_shot_checkpoint,
+    ),
+    "probe-attention": _Command(
+        "export a cross-attention matrix", cmd_probe_attention, _CHECKPOINT_AND_DATA, ("attention.txt",),
+        (*_VOCAB_FLAGS, _CHECKPOINT, _DATA, _flag("--index", type=int, default=0)),
+    ),
+    "ablate": _Command(
+        "prompt placement / strategy comparison grid", cmd_ablate, ("data",), ("ablation.tsv", "ablation.json"),
+        (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_PROMPT_FLAGS, *_TRAIN_FLAGS, *_DECODE_FLAGS, _DATA, _FEWSHOT_SIZE, _K_GRID),
+    ),
+}
 
 
-def _add_decode_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--beam", type=int)
-    sub.add_argument("--max-len", dest="max_len", type=int)
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ``CliError``: one ``error:`` line and exit code 1, like any failure."""
 
-
-def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--vocab", required=True, help="vocab file")
-    sub.add_argument("--max-src-tokens", dest="max_src_tokens", type=int)
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="promptsum")
+    parser = _Parser(prog="promptsum")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("build-vocab", help="build a vocabulary from a dataset file")
-    _add_common(sub)
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--min-freq", dest="min_freq", type=int, default=1)
-    sub.set_defaults(func=cmd_build_vocab)
-
-    sub = subs.add_parser("build-pseudo", help="construct pseudo summary pairs")
-    _add_common(sub)
-    _add_data_flags(sub)
-    sub.add_argument("--data", required=True)
-    sub.add_argument(
-        "--strategy", dest="pseudo_strategy", choices=["lead", "gsg"], required=True
-    )
-    sub.add_argument("--m", type=int, help="sentences removed per document (gsg)")
-    sub.add_argument("--lead-n", dest="lead_n", type=int)
-    sub.add_argument("--min-sum", dest="min_sum", type=int)
-    sub.add_argument("--target-sum", dest="target_sum", type=int)
-    sub.add_argument("--filter", action=argparse.BooleanOptionalAction, default=None)
-    sub.add_argument("--fewshot", help="few-shot file for the filter threshold")
-    sub.set_defaults(func=cmd_build_pseudo)
-
-    sub = subs.add_parser("pretrain-backbone", help="full-model training of the toy backbone")
-    _add_common(sub)
-    _add_data_flags(sub)
-    _add_model_flags(sub)
-    _add_train_flags(sub)
-    sub.add_argument("--data", required=True)
-    sub.set_defaults(func=cmd_pretrain_backbone)
-
-    sub = subs.add_parser("pretrain-prompts", help="prompt-only training on pseudo pairs")
-    _add_common(sub)
-    _add_data_flags(sub)
-    _add_model_flags(sub)
-    _add_prompt_flags(sub)
-    _add_train_flags(sub)
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--dev")
-    sub.set_defaults(func=cmd_pretrain_prompts)
-
-    sub = subs.add_parser("finetune", help="few-shot tuning from a checkpoint")
-    _add_common(sub)
-    _add_data_flags(sub)
-    _add_train_flags(sub)
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--data")
-    sub.add_argument("--fewshot-size", dest="fewshot_size", type=int)
-    sub.add_argument("--train")
-    sub.add_argument("--dev")
-    sub.set_defaults(func=cmd_finetune)
-
-    sub = subs.add_parser("generate", help="decode summaries for a dataset")
-    _add_common(sub)
-    _add_data_flags(sub)
-    _add_decode_flags(sub)
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--data", required=True)
-    sub.set_defaults(func=cmd_generate)
-
-    sub = subs.add_parser("evaluate", help="ROUGE + perplexity report")
-    _add_common(sub)
-    _add_data_flags(sub)
-    _add_decode_flags(sub)
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--data", required=True)
-    sub.set_defaults(func=cmd_evaluate)
-
-    sub = subs.add_parser("zero-shot", help="evaluate pretrained prompts without finetuning")
-    _add_common(sub)
-    _add_data_flags(sub)
-    _add_decode_flags(sub)
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--data", required=True)
-    sub.set_defaults(func=cmd_zero_shot)
-
-    sub = subs.add_parser("probe-attention", help="export a cross-attention matrix")
-    _add_common(sub)
-    _add_data_flags(sub)
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--index", type=int, default=0)
-    sub.set_defaults(func=cmd_probe_attention)
-
-    sub = subs.add_parser("ablate", help="prompt placement / strategy comparison grid")
-    _add_common(sub)
-    _add_data_flags(sub)
-    _add_model_flags(sub)
-    _add_prompt_flags(sub)
-    _add_train_flags(sub)
-    _add_decode_flags(sub)
-    sub.add_argument("--data", required=True)
-    sub.add_argument("--fewshot-size", dest="fewshot_size", type=int)
-    sub.add_argument(
-        "--k-grid", dest="k_grid", type=lambda s: [int(v) for v in s.split(",")], default=None
-    )
-    sub.set_defaults(func=cmd_ablate)
-
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flag, kwargs in _COMMON_FLAGS + command.flags:
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
 def dispatch(argv=None) -> int:
     """Parse and run one subcommand; every failure is a single-line error."""
-    parser = build_parser()
+    argv = list(argv) if argv is not None else sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        command = _COMMANDS[args.command]
+        cfg = resolve_config(args)
+        if command.mode:
+            cfg["mode"] = command.mode
+        if command.check:
+            command.check(args)
+        inputs = {flag: getattr(args, flag) for flag in command.inputs}
+        with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as skipped:
+            command.handler(args, cfg, skipped)
+    except SystemExit as exc:  # --help; argument errors raise CliError instead
         return int(exc.code) if exc.code else 0
-    args.argv = list(argv) if argv is not None else sys.argv[1:]
-    try:
-        return args.func(args)
-    except (
-        CliError,
-        CorpusError,
-        ConfigError,
-        CheckpointError,
-        TrainingDivergedError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # CliError and the corpus, config and checkpoint errors are all ValueErrors.
+    except (ValueError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

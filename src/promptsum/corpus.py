@@ -321,6 +321,8 @@ def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> Dataset:
 
 def sample_fewshot(pairs: list[SummaryPair], size: int, seed: int) -> FewShotSplit:
     """Draw disjoint train/dev samples of equal size, deterministically."""
+    if size < 1:
+        raise CapacityError(f"few-shot size must be >= 1, got {size}")
     if len(pairs) < 2 * size:
         raise CapacityError(f"need at least {2 * size} pairs, got {len(pairs)}")
     rng = np.random.default_rng(seed)

@@ -344,6 +344,8 @@ def compute_n_max(
     if unit == "sentence":
         counts = [len(doc.sentences) for doc in corpus]
     elif unit == "span_k":
+        if k < 1:
+            raise ValueError(f"span length k must be >= 1, got {k}")
         counts = [math.ceil(doc.flat_length / k) for doc in corpus]
     else:
         raise ValueError(f"unknown unit {unit!r}")

@@ -109,3 +109,101 @@ def test_encoder_overflow_fails_before_predictions(setup, capsys):
     err = _single_error(capsys)
     assert "test document 2" in err and "max_pos 64" in err
     assert not (setup / "out" / "predictions.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "seed = 1.5",
+        "max_src_tokens = many",
+        "lead_n = x",
+        "percentile = high",
+        "shared = maybe",
+        "beam = true",
+        "strategy = 3",
+        "mode = 1",
+        "backbone_seed = 0.5",
+        "pretrain_warmup_steps = 0.1",
+        "finetune_warmup_ratio = none",
+    ],
+)
+def test_config_value_of_the_wrong_type(setup, capsys, line):
+    (setup / "run.cfg").write_text(f"d = 8\n{line}\n")
+    rc = dispatch([
+        "build-pseudo", "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--strategy", "lead", "--config", str(setup / "run.cfg"), "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    err = _single_error(capsys)
+    assert "run.cfg" in err and line.split(" =")[0] in err
+    assert not (setup / "out").exists()
+
+
+def test_config_int_accepted_for_a_float_key(setup):
+    (setup / "run.cfg").write_text("percentile = 1\nbeta1 = 0\n")
+    rc = dispatch([
+        "build-pseudo", "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--strategy", "lead", "--config", str(setup / "run.cfg"), "--out", str(setup / "out"),
+    ])
+    assert rc == 0
+    manifest = json.loads((setup / "out" / "manifest.json").read_text())
+    assert manifest["config"]["percentile"] == 1
+
+
+def test_fixed_k_with_k_zero(setup, capsys):
+    rc = dispatch([
+        "pretrain-prompts", "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--d", "8", "--layers", "1", "--heads", "2", "--ffn", "16", "--max-pos", "64",
+        "--prompt-len-en", "2", "--prompt-len-de", "2", "--strategy", "fixed_k", "--k", "0",
+        "--epochs", "1", "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert "k must be >= 1" in _single_error(capsys)
+    assert not (setup / "out" / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize("command", ["finetune", "ablate"])
+def test_fewshot_size_below_one(setup, capsys, monkeypatch, command, size):
+    from promptsum import cli
+
+    monkeypatch.setattr(cli, "run_stage", lambda *a, **k: pytest.fail("trained"))
+    source = ["--checkpoint", str(setup / "ckpt.npz")] if command == "finetune" else []
+    rc = dispatch([
+        command, *source, "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--fewshot-size", size, "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert f"few-shot size must be >= 1, got {size}" in _single_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ablate", "--k-grid", "a,b"],
+        ["generate", "--beam", "x"],
+        ["build-vocab", "--data", "d.jsonl"],
+        ["frobnicate"],
+    ],
+    ids=["bad-list", "bad-int", "missing-flag", "unknown-command"],
+)
+def test_flag_error_is_one_error_line(capsys, argv):
+    assert dispatch(argv) == 1
+    err = _single_error(capsys)
+    assert err.startswith("error: promptsum")
+    assert not capsys.readouterr().out
+
+
+def test_help_still_exits_zero(capsys):
+    assert dispatch(["generate", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: promptsum generate") and "--checkpoint CHECKPOINT" in out
+
+
+def test_manifest_counts_skipped_records(setup):
+    records = make_lead_corpus(2, seed=1) + [{"document": "", "summary": "A cat."}]
+    write_jsonl(setup / "data.jsonl", records)
+    with pytest.warns(UserWarning, match="skipped 1"):
+        assert _run(setup, "generate", setup / "ckpt.npz", ["--max-len", "4"]) == 0
+    manifest = json.loads((setup / "out" / "manifest.json").read_text())
+    assert manifest["n_skipped"] == {"data": 1}
