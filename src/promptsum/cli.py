@@ -2,12 +2,12 @@
 pre-training, few-shot fine-tuning, generation, evaluation, attention probing,
 and the ablation grid.
 
-Each subcommand is declared once, in ``_COMMANDS``: its help, handler, flags,
-recorded inputs and outputs. Every run writes a manifest (command, resolved
-config, seeds, paths) into its output directory before doing any work and
-rewrites it on exit with the finish time, duration, status and the count of
-empty records skipped per dataset file. A lock file holding the run's pid
-makes one run own the directory at a time.
+Each subcommand is declared once, in ``_COMMANDS``: its help, handler, flags
+and outputs. Every run writes a manifest (command, resolved config, seeds,
+the input files among its flags) into its output directory before doing any
+work and rewrites it on exit with the finish time, duration, status and the
+count of empty records skipped per dataset file. A lock file holding the
+run's pid makes one run own the directory at a time.
 """
 
 from __future__ import annotations
@@ -124,11 +124,19 @@ def resolve_config(args) -> dict:
             # An int is a valid float; a bool is not an int here.
             if want and type(value) is not want and not (want is float and type(value) is int):
                 raise CliError(f"{args.config}: {key} must be {want.__name__}, got {value!r}")
+            _check_seed(key, value, f"{args.config}: {key}")
         cfg.update(overlay)
     for key, value in vars(args).items():
         if key in types and value is not None:
+            _check_seed(key, value, "--" + key.replace("_", "-"))
             cfg[key] = value
     return cfg
+
+
+def _check_seed(key: str, value, source: str) -> None:
+    """NumPy seeds must be >= 0; ``source`` names the flag or config key."""
+    if key in ("seed", "backbone_seed") and value < 0:
+        raise CliError(f"{source} must be >= 0, got {value}")
 
 
 # --------------------------------------------------------------------------
@@ -594,25 +602,26 @@ _FEWSHOT_SIZE = _flag("--fewshot-size", type=int)
 class _Command(NamedTuple):
     help: str
     handler: Callable[[argparse.Namespace, dict, dict], None]
-    inputs: tuple[str, ...]  # dests of the input paths the manifest records
     outputs: tuple[str, ...]  # files the run writes into --out
     flags: tuple  # after the common flags, in help order
     check: Callable[[argparse.Namespace], None] | None = None  # before --out is created
     mode: str | None = None  # training mode the command fixes in the config
 
 
+# Dests of the flags that name an input file; the manifest records every
+# one that the command declares, given or not.
+_INPUTS = ("data", "vocab", "backbone", "checkpoint", "train", "dev", "fewshot")
 _TRAINED = ("checkpoint.npz", "train_log.jsonl")
 _EVALUATED = ("report.json", "predictions.jsonl")
-_CHECKPOINT_AND_DATA = ("checkpoint", "data")
 _K_GRID = _flag("--k-grid", type=lambda s: [int(v) for v in s.split(",")], default=None)
 
 _COMMANDS = {
     "build-vocab": _Command(
-        "build a vocabulary from a dataset file", cmd_build_vocab, ("data",), ("vocab.txt",),
+        "build a vocabulary from a dataset file", cmd_build_vocab, ("vocab.txt",),
         (_DATA, _flag("--min-freq", type=int, default=1)),
     ),
     "build-pseudo": _Command(
-        "construct pseudo summary pairs", cmd_build_pseudo, ("data", "fewshot"), ("pseudo.jsonl", "stats.json"),
+        "construct pseudo summary pairs", cmd_build_pseudo, ("pseudo.jsonl", "stats.json"),
         (
             *_VOCAB_FLAGS,
             _DATA,
@@ -627,38 +636,38 @@ _COMMANDS = {
         check=_check_filter,
     ),
     "pretrain-backbone": _Command(
-        "full-model training of the toy backbone", cmd_pretrain_backbone, ("data",), _TRAINED,
+        "full-model training of the toy backbone", cmd_pretrain_backbone, _TRAINED,
         (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_TRAIN_FLAGS, _DATA),
         mode="full_model",
     ),
     "pretrain-prompts": _Command(
-        "prompt-only training on pseudo pairs", cmd_pretrain_prompts, ("data", "backbone"), _TRAINED,
+        "prompt-only training on pseudo pairs", cmd_pretrain_prompts, _TRAINED,
         (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_PROMPT_FLAGS, *_TRAIN_FLAGS, _DATA, _flag("--dev")),
         mode="prompt_only",
     ),
     "finetune": _Command(
-        "few-shot tuning from a checkpoint", cmd_finetune, ("checkpoint", "data", "train", "dev"), _TRAINED,
+        "few-shot tuning from a checkpoint", cmd_finetune, _TRAINED,
         (*_VOCAB_FLAGS, *_TRAIN_FLAGS, _CHECKPOINT, _flag("--data"), _FEWSHOT_SIZE, _flag("--train"), _flag("--dev")),
     ),
     "generate": _Command(
-        "decode summaries for a dataset", cmd_generate, _CHECKPOINT_AND_DATA, ("predictions.jsonl",),
+        "decode summaries for a dataset", cmd_generate, ("predictions.jsonl",),
         (*_VOCAB_FLAGS, *_DECODE_FLAGS, _CHECKPOINT, _DATA),
     ),
     "evaluate": _Command(
-        "ROUGE + perplexity report", cmd_evaluate, _CHECKPOINT_AND_DATA, _EVALUATED,
+        "ROUGE + perplexity report", cmd_evaluate, _EVALUATED,
         (*_VOCAB_FLAGS, *_DECODE_FLAGS, _CHECKPOINT, _DATA),
     ),
     "zero-shot": _Command(
-        "evaluate pretrained prompts without finetuning", cmd_evaluate, _CHECKPOINT_AND_DATA, _EVALUATED,
+        "evaluate pretrained prompts without finetuning", cmd_evaluate, _EVALUATED,
         (*_VOCAB_FLAGS, *_DECODE_FLAGS, _CHECKPOINT, _DATA),
         check=_check_zero_shot_checkpoint,
     ),
     "probe-attention": _Command(
-        "export a cross-attention matrix", cmd_probe_attention, _CHECKPOINT_AND_DATA, ("attention.txt",),
+        "export a cross-attention matrix", cmd_probe_attention, ("attention.txt",),
         (*_VOCAB_FLAGS, _CHECKPOINT, _DATA, _flag("--index", type=int, default=0)),
     ),
     "ablate": _Command(
-        "prompt placement / strategy comparison grid", cmd_ablate, ("data",), ("ablation.tsv", "ablation.json"),
+        "prompt placement / strategy comparison grid", cmd_ablate, ("ablation.tsv", "ablation.json"),
         (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_PROMPT_FLAGS, *_TRAIN_FLAGS, *_DECODE_FLAGS, _DATA, _FEWSHOT_SIZE, _K_GRID),
     ),
 }
@@ -692,7 +701,7 @@ def dispatch(argv=None) -> int:
             cfg["mode"] = command.mode
         if command.check:
             command.check(args)
-        inputs = {flag: getattr(args, flag) for flag in command.inputs}
+        inputs = {dest: getattr(args, dest) for dest in _INPUTS if hasattr(args, dest)}
         with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as skipped:
             command.handler(args, cfg, skipped)
     except SystemExit as exc:  # --help; argument errors raise CliError instead

@@ -511,7 +511,10 @@ def decode_logits(
 
     Without a cache this is the teacher-forced pass: it returns logits for
     the len(tgt_prefix) + 1 positions that predict target tokens, plus
-    per-layer cross-attention probabilities when requested. With a cache
+    per-layer cross-attention probabilities when requested. The ``P_de``
+    rows give the last layer only their self-attention K/V: its queries,
+    cross-attention, FFN and final layer norm run on the predicting rows
+    alone, unless attention is captured, which covers every row. With a cache
     (the one on ``enc``), a call after the first must extend the prefixes of
     the last one: each row takes the self-attention K/V of the cached row
     whose ids are its own first tokens, only the rows after them are
@@ -563,6 +566,9 @@ def decode_logits(
 
         mask = _causal_mask(t_dec, start)
         capture: list[np.ndarray] | None = [] if capture_attention else None
+        # Rows before ``cut`` (the P_de rows still to compute) predict no
+        # token; past the last layer's K/V they feed nothing.
+        cut = max(len_de - start, 0)
         self_kv: list[KV] = []
         for i in range(dims.layers):
             h = ad.layer_norm(x, p[f"dec{i}/ln1/gamma"], p[f"dec{i}/ln1/beta"])
@@ -571,6 +577,10 @@ def decode_logits(
                 k = ad.concat_rows([past[i][0], k])
                 v = ad.concat_rows([past[i][1], v])
             self_kv.append((k, v))
+            if cut and capture is None and i == dims.layers - 1:
+                rows = t_dec - start
+                x, h, mask = ad.slice_rows(x, cut, rows), ad.slice_rows(h, cut, rows), mask[cut:]
+                cut = 0
             x = ad.add(x, _attention(h, k, v, p, f"dec{i}/self", dims.heads, mask=mask))
             h = ad.layer_norm(x, p[f"dec{i}/ln2/gamma"], p[f"dec{i}/ln2/beta"])
             ck, cv = cross[i]
@@ -583,8 +593,9 @@ def decode_logits(
             cache.ids = batch
             cache.self_kv = [tuple(t.data.reshape(shape) for t in kv) for kv in self_kv]
 
-        predict = ad.slice_rows(x, max(len_de - start, 0), t_dec - start)
-        logits = ad.matmul(predict, ad.transpose(backbone.embed, (1, 0)))
+        if cut:
+            x = ad.slice_rows(x, cut, t_dec - start)
+        logits = ad.matmul(x, ad.transpose(backbone.embed, (1, 0)))
         return logits, capture
 
 

@@ -207,3 +207,48 @@ def test_manifest_counts_skipped_records(setup):
         assert _run(setup, "generate", setup / "ckpt.npz", ["--max-len", "4"]) == 0
     manifest = json.loads((setup / "out" / "manifest.json").read_text())
     assert manifest["n_skipped"] == {"data": 1}
+
+
+@pytest.mark.parametrize(
+    "extra, config, named",
+    [
+        (["--seed", "-1"], None, "--seed"),
+        (["--backbone-seed", "-3"], None, "--backbone-seed"),
+        ([], "seed = -1", "run.cfg: seed"),
+        ([], "backbone_seed = -2", "run.cfg: backbone_seed"),
+    ],
+    ids=["flag-seed", "flag-backbone-seed", "config-seed", "config-backbone-seed"],
+)
+def test_negative_seed_is_one_error_line(setup, capsys, extra, config, named):
+    if config:
+        (setup / "run.cfg").write_text(config + "\n")
+        extra = ["--config", str(setup / "run.cfg")]
+    rc = dispatch([
+        "pretrain-prompts", "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--d", "8", "--layers", "1", "--heads", "2", "--ffn", "16", "--max-pos", "64",
+        "--prompt-len-en", "2", "--prompt-len-de", "2", "--epochs", "1", *extra, "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    err = _single_error(capsys)
+    assert f"{named} must be >= 0" in err
+    assert not (setup / "out").exists()
+
+
+def test_manifest_records_every_input_file(setup):
+    data, vocab = str(setup / "data.jsonl"), str(setup / "v" / "vocab.txt")
+    model = ["--d", "8", "--layers", "1", "--heads", "2", "--ffn", "16", "--max-pos", "64", "--epochs", "1"]
+    runs = {
+        "pretrain-backbone": (["--backbone", str(setup / "ckpt.npz")], {"backbone": str(setup / "ckpt.npz")}),
+        "pretrain-prompts": (  # seed 0 is the lowest valid seed
+            ["--dev", data, "--prompt-len-en", "2", "--prompt-len-de", "2", "--seed", "0", "--backbone-seed", "0"],
+            {"backbone": None, "dev": data},
+        ),
+        "build-pseudo": (["--strategy", "lead"], {"fewshot": None}),
+    }
+    for command, (extra, expected) in runs.items():
+        out = setup / command
+        flags = model if command.startswith("pretrain") else []
+        rc = dispatch([command, "--data", data, "--vocab", vocab, *flags, *extra, "--out", str(out)])
+        assert rc == 0, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {"data": data, "vocab": vocab, **expected}, command

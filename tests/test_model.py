@@ -1,9 +1,14 @@
 """Backbone init, prompt composition, forward contracts, and checkpoints."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptsum import autodiff as ad
+from promptsum import training
 from promptsum.corpus import EOS_ID
 from promptsum.model import (
     CheckpointError,
@@ -15,6 +20,8 @@ from promptsum.model import (
     compose_encoder_input,
     compute_n_max,
     count_trainable_params,
+    decode_logits,
+    encode_source,
     forward,
     init_backbone,
     init_prompts,
@@ -22,7 +29,7 @@ from promptsum.model import (
     save_checkpoint,
 )
 
-from conftest import make_doc, random_document, tiny_model
+from conftest import make_doc, make_pair, random_document, tiny_model
 
 
 class TestInitBackbone:
@@ -289,6 +296,72 @@ class TestForward:
         a = forward(backbone, prompts, config, make_doc([4, 5, 6]), []).logits.data
         b = forward(backbone, prompts, config, make_doc([4, 5, 7]), []).logits.data
         assert not np.array_equal(a[0], b[0])
+
+
+PLACEMENTS = {
+    "decoder_prompt": dict(len_en=3, len_de=2),
+    "no_decoder_prompt": dict(len_en=3, len_de=0),
+    "encoder_only": dict(len_en=3, len_de=2, encoder_only=True),
+    "decoder_only": dict(len_en=2, len_de=3, decoder_only=True),
+    "shared": dict(len_en=3, len_de=3, shared=True),
+}
+ROW_CUT = settings(max_examples=10, deadline=None)
+PREFIXES = st.lists(st.integers(4, 19), max_size=4)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("layers", [1, 2])
+class TestLastLayerRows:
+    """The last decoder layer runs only the rows that predict a token; the
+    full-row path (taken when attention is captured) is the reference."""
+
+    @ROW_CUT
+    @given(seed=st.integers(0, 1000), prefixes=st.lists(PREFIXES, min_size=1, max_size=3))
+    def test_logits_and_prompt_gradients_match_the_full_rows(self, layers, placement, seed, prefixes):
+        backbone, prompts, config = tiny_model(seed=seed, layers=layers, **PLACEMENTS[placement])
+        doc = make_doc([4, 5, 6], [7, 8])
+        enc = encode_source(backbone, prompts, config, doc)
+        cut, _ = decode_logits(backbone, prompts, config, enc, prefixes[0])
+        full, _ = decode_logits(backbone, prompts, config, enc, prefixes[0], capture_attention=True)
+        assert cut.shape == full.shape == (len(prefixes[0]) + 1, backbone.dims.vocab)
+        np.testing.assert_allclose(cut.data, full.data, rtol=0, atol=1e-12)
+
+        batch = [make_pair(doc, prefix + [EOS_ID]) for prefix in prefixes]
+        tensors = prompts.named_tensors()
+
+        def prompt_grads():
+            for t in tensors.values():
+                t.zero_grad()
+            loss, _ = training.batch_mean_nll(backbone, prompts, config, batch)
+            loss.backward()
+            return {name: t.grad for name, t in tensors.items()}
+
+        got = prompt_grads()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "decode_logits", partial(decode_logits, capture_attention=True))
+            want = prompt_grads()
+        assert got.keys() == want.keys() and got
+        for name in got:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @ROW_CUT
+    @given(seed=st.integers(0, 1000), prefix=PREFIXES)
+    def test_last_layer_queries_only_the_predicting_rows(self, layers, placement, seed, prefix):
+        backbone, prompts, config = tiny_model(seed=seed, layers=layers, **PLACEMENTS[placement])
+        enc = encode_source(backbone, prompts, config, make_doc([4, 5, 6]))
+        queries = []
+
+        def attention(q, *args, **kwargs):
+            queries.append(q.shape[-2])
+            return attention_op(q, *args, **kwargs)
+
+        attention_op = ad.attention
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ad, "attention", attention)
+            decode_logits(backbone, prompts, config, enc, prefix)
+        # Self- then cross-attention per layer; earlier layers keep every row.
+        rows = config.effective_len_de + len(prefix) + 1
+        assert queries == [rows, rows] * (layers - 1) + [len(prefix) + 1] * 2
 
 
 class TestSharedGradientAliasing:
