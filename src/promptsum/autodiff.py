@@ -197,7 +197,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(axes.index(i) for i in range(len(axes)))
 
     def backward(g):
         return (g.transpose(inverse),)
@@ -257,9 +257,11 @@ def take_rows(a: Tensor, idx) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # np.add.reduce / n is what ndarray.mean computes, without its Python wrapper.
+    n = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
     out_data = xhat * gamma.data + beta.data
@@ -272,8 +274,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             dxhat = g * gamma.data
             dx = inv_std * (
                 dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+                - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
             )
         dgamma = (g * xhat).sum(axis=lead_axes) if gamma.requires_grad else None
         dbeta = g.sum(axis=lead_axes) if beta.requires_grad else None

@@ -104,6 +104,42 @@ def greedy_decode(
     return out
 
 
+def _select(
+    beams: list[Hypothesis], live: list[int], logprobs: np.ndarray, beam: int
+) -> list[tuple[int, int, float]]:
+    """The ``beam`` best candidates of one step, best first, as (parent beam
+    slot, token id, cumulative log-probability).
+
+    Row r of ``logprobs`` [len(live), vocab] scores the token after
+    ``beams[live[r]]``. Every other hypothesis is closed and competes as
+    itself, with its last token id (-1 for none). Equal scores go to the
+    lower token id, then the earlier beam slot.
+    """
+    vocab = logprobs.shape[1]
+    closed = [slot for slot in range(len(beams)) if slot not in live]
+    # Live candidates row by row, then the closed ones: index i < n_live is
+    # row i // vocab, token i % vocab.
+    n_live = len(live) * vocab
+    score = np.empty(n_live + len(closed))
+    logp = np.array([beams[slot].logp for slot in live])
+    np.add(logp[:, None], logprobs, out=score[:n_live].reshape(len(live), vocab))
+    score[n_live:] = [beams[slot].logp for slot in closed]
+    # Only candidates scoring at least the beam-th best can be chosen, so
+    # the sort runs on those alone (a NaN score is kept, not dropped).
+    keep = np.arange(score.size)
+    if score.size > beam:
+        kth = np.partition(score, score.size - beam)[score.size - beam]
+        keep = np.flatnonzero(~(score < kth))
+    from_live, from_closed = keep[keep < n_live], keep[keep >= n_live] - n_live
+    live_slots, closed_slots = np.array(live, dtype=np.int64), np.array(closed, dtype=np.int64)
+    slot_of = np.concatenate([live_slots[from_live // vocab], closed_slots[from_closed]])
+    last = np.array([beams[s].ids[-1] if beams[s].ids else -1 for s in closed], dtype=np.int64)
+    token = np.concatenate([from_live % vocab, last[from_closed]])
+    score = score[keep]
+    order = np.lexsort((slot_of, token, -score))[:beam]
+    return list(zip(slot_of[order].tolist(), token[order].tolist(), score[order].tolist()))
+
+
 @ad.no_grad()
 def beam_search(
     backbone: BackboneParams,
@@ -132,37 +168,13 @@ def beam_search(
     while any(extendable(h) for h in beams):
         # Every live hypothesis has the same length and extends one of the
         # last step's, so one cached call scores them all.
-        live = [h.ids for h in beams if extendable(h)]
-        rows = iter(_next_logprobs(backbone, prompts, config, enc, live))
-        # Candidates as parallel arrays: cumulative log-probability, last
-        # token id and parent beam slot. A closed hypothesis competes as
-        # itself. Sorting on (-score, token, slot) implements "lower token
-        # id, then earlier beam index" tie-breaking.
-        scores, tokens, slots = [], [], []
-        for slot, hyp in enumerate(beams):
-            if extendable(hyp):
-                logprobs = next(rows)
-                scores.append(hyp.logp + logprobs)
-                tokens.append(np.arange(len(logprobs)))
-            else:
-                scores.append(np.array([hyp.logp]))
-                tokens.append(np.array([hyp.ids[-1] if hyp.ids else -1]))
-            slots.append(np.full(len(tokens[-1]), slot))
-        score, token, slot_of = (np.concatenate(a) for a in (scores, tokens, slots))
-        # Only candidates scoring at least the beam-th best can be chosen, so
-        # the sort runs on those alone (a NaN score is kept, not dropped).
-        if score.size > beam:
-            kth = np.partition(score, score.size - beam)[score.size - beam]
-            keep = np.flatnonzero(~(score < kth))
-            score, token, slot_of = score[keep], token[keep], slot_of[keep]
-        order = np.lexsort((slot_of, token, -score))[:beam]
-
+        live = [slot for slot, hyp in enumerate(beams) if extendable(hyp)]
+        logprobs = _next_logprobs(backbone, prompts, config, enc, [beams[s].ids for s in live])
         chosen = []
-        for i in order:
-            parent = beams[slot_of[i]]
+        for slot, tok, score in _select(beams, live, logprobs, beam):
+            parent = beams[slot]
             if extendable(parent):
-                tok = int(token[i])
-                parent = Hypothesis(parent.ids + (tok,), float(score[i]), tok == EOS_ID)
+                parent = Hypothesis(parent.ids + (tok,), score, tok == EOS_ID)
             chosen.append(parent)
         beams = chosen
         # A finished hypothesis can later be crowded out of the beam by

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import tokenize
 import zipfile
 import zlib
 from contextlib import nullcontext
@@ -494,6 +495,17 @@ def _parent_rows(cached: np.ndarray, ids: np.ndarray) -> np.ndarray:
     )
 
 
+def _gather_past(cached: np.ndarray, parent: np.ndarray, rows: int) -> np.ndarray:
+    """A fresh [B, rows, d] buffer whose first rows hold, for each b, the
+    cached rows of ``parent[b]``; the rows after them are left unset."""
+    out = np.empty((len(parent), rows, cached.shape[-1]))
+    # One slice copy per slot: on a few rows this is several times faster
+    # than fancy indexing or np.take into ``out``.
+    for b, j in enumerate(parent):
+        out[b, : cached.shape[1]] = cached[j]
+    return out
+
+
 def decode_logits(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -519,7 +531,10 @@ def decode_logits(
     the last one: each row takes the self-attention K/V of the cached row
     whose ids are its own first tokens, only the rows after them are
     computed, and logits come back for those rows alone (the last predicts
-    the token after the prefix). The call's prefixes and K/V then replace
+    the token after the prefix). Each layer's past K/V is copied once, into
+    the [B, t_dec, d] buffer that then takes the new rows' K/V. Every
+    product keeps the batch axis, so a row's logits do not depend on which
+    other rows share the call. The call's prefixes and K/V then replace
     the cached ones, and the call records no autodiff tape. A batch that
     does not extend the last call raises ``ValueError``.
     """
@@ -543,10 +558,7 @@ def decode_logits(
             if cache.ids is not None:
                 parent = _parent_rows(cache.ids, batch)
                 start = len_de + 1 + cache.ids.shape[1]
-                past = [
-                    tuple(Tensor(a[parent].reshape(lead + (start, dims.d))) for a in kv)
-                    for kv in cache.self_kv
-                ]
+                past = [tuple(_gather_past(a, parent, t_dec) for a in kv) for kv in cache.self_kv]
             if cache.cross is None:
                 cache.cross = [
                     _project_kv(enc.memory, p, f"dec{i}/cross") for i in range(dims.layers)
@@ -574,8 +586,9 @@ def decode_logits(
             h = ad.layer_norm(x, p[f"dec{i}/ln1/gamma"], p[f"dec{i}/ln1/beta"])
             k, v = _project_kv(h, p, f"dec{i}/self")
             if past is not None:
-                k = ad.concat_rows([past[i][0], k])
-                v = ad.concat_rows([past[i][1], v])
+                for buf, new in zip(past[i], (k, v)):
+                    buf[:, start:] = new.data.reshape(buf.shape[0], -1, dims.d)
+                k, v = (Tensor(buf.reshape(lead + buf.shape[1:])) for buf in past[i])
             self_kv.append((k, v))
             if cut and capture is None and i == dims.layers - 1:
                 rows = t_dec - start
@@ -692,12 +705,18 @@ def load_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
     """Rebuild backbone and prompts, rejecting any dimension mismatch.
 
     A damaged file (not a zip, truncated, corrupt member, a zip feature the
-    reader does not support) or malformed metadata raises ``CheckpointError``
+    reader does not support, a member flagged as encrypted, an array header
+    NumPy cannot parse) or malformed metadata raises ``CheckpointError``
     naming the path.
     """
     try:
         return _read_checkpoint(path)
-    except (zipfile.BadZipFile, EOFError, zlib.error, NotImplementedError) as exc:
+    # RuntimeError: zipfile on a member flagged as encrypted. SyntaxError and
+    # tokenize.TokenError: NumPy on an array header it cannot parse.
+    except (
+        zipfile.BadZipFile, EOFError, zlib.error, NotImplementedError,
+        RuntimeError, SyntaxError, tokenize.TokenError,
+    ) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
 
 

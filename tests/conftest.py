@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 
-import numpy as np
+# BLAS on one thread, as in perfbench/run.py: two BLAS threads on a two-CPU
+# machine thrash whenever another process holds one of the CPUs. This has to
+# run before NumPy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from promptsum.corpus import Document, EOS_ID, SummaryPair
 from promptsum.model import ModelDims, PromptConfig, init_backbone, init_prompts

@@ -1,5 +1,6 @@
-"""Mutated config files and numeric flags, run through ``cli.dispatch``: every
-run either succeeds or ends in exactly one ``error:`` line with exit code 1."""
+"""Mutated config files, numeric flags and input files, run through
+``cli.dispatch``: every run either succeeds or ends in exactly one ``error:``
+line with exit code 1."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -60,6 +61,14 @@ def _commands(root) -> dict[str, list[str]]:
     }
 
 
+def _assert_one_line_or_success(rc: int, err: str) -> None:
+    if rc == 0:
+        assert not err.strip()
+    else:
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def _numeric_flags(command: str) -> list[tuple[str, type]]:
     """The command's int and float flags, as declared in the command table."""
     flags = cli._COMMON_FLAGS + cli._COMMANDS[command].flags
@@ -81,9 +90,39 @@ def test_mutated_runs_succeed_or_fail_on_one_line(world, capsys, scenario, data)
         argv.append(f"{flag}={value}")  # '=' keeps a value such as '-inf' from reading as a flag
     capsys.readouterr()
     rc = dispatch(argv)
-    err = capsys.readouterr().err
-    if rc == 0:
-        assert not err.strip()
-    else:
-        assert rc == 1
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    _assert_one_line_or_success(rc, capsys.readouterr().err)
+
+
+# The input files a command reads, by flag, relative to the world fixture.
+_INPUT_FILES = {"--data": "data.jsonl", "--vocab": "v/vocab.txt", "--checkpoint": "ckpt.npz"}
+
+
+@st.composite
+def _mutated(draw, raw: bytes) -> bytes:
+    """``raw`` truncated, with one bit flipped, with one line deleted, or with
+    a byte that is not UTF-8 put in."""
+    at = draw(st.integers(0, len(raw) - 1))
+    kind = draw(st.sampled_from(["truncate", "flip", "delete line", "non-utf8"]))
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ (1 << draw(st.integers(0, 7)))]) + raw[at + 1 :]
+    if kind == "delete line":
+        lines = raw.split(b"\n")
+        del lines[draw(st.integers(0, len(lines) - 1))]
+        return b"\n".join(lines)
+    return raw[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[at + 1 :]
+
+
+# About 30 ms an example on 2 vCPUs.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario=st.sampled_from(["evaluate", "finetune"]), flag=st.sampled_from(sorted(_INPUT_FILES)), data=st.data())
+def test_mutated_input_files_succeed_or_fail_on_one_line(world, capsys, scenario, flag, data):
+    mutated = world / "mutated" / _INPUT_FILES[flag].replace("/", "-")
+    mutated.parent.mkdir(exist_ok=True)
+    mutated.write_bytes(data.draw(_mutated((world / _INPUT_FILES[flag]).read_bytes())))
+    argv = _commands(world)[scenario] + ["--out", str(world / "out")]
+    argv[argv.index(flag) + 1] = str(mutated)
+    capsys.readouterr()
+    rc = dispatch(argv)
+    _assert_one_line_or_success(rc, capsys.readouterr().err)

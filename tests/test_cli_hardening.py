@@ -52,6 +52,29 @@ def test_build_vocab_rejects_non_object_line(tmp_path, capsys):
     assert "line 2" in _single_error(capsys)
 
 
+def _damage(raw: bytes, damage: str) -> bytes:
+    """One or two bytes of a checkpoint changed; ``embed/pos`` (64, 8) is read in part
+    before its CRC is checked, so NumPy parses its damaged header."""
+    header = raw.index(b"'shape': (64, 8), }")
+    if damage == "open bracket":
+        at = header + len(b"'shape': (64, 8")
+        return raw[:at] + b"(" + raw[at + 1 :]
+    if damage == "dtype":
+        at = raw.rindex(b"'descr': '<f8'", 0, header) + len(b"'descr': '")
+        return raw[:at] + b"," + raw[at + 1 :]
+    at = raw.index(b"PK\x01\x02") + 8  # general-purpose flags of the first central entry
+    return raw[:at] + bytes([raw[at] | 1]) + raw[at + 1 :]
+
+
+@pytest.mark.parametrize("damage", ["open bracket", "dtype", "encrypted flag"])
+def test_damaged_checkpoint_is_one_error_line(setup, capsys, damage):
+    # NumPy and zipfile raise tokenize.TokenError, SyntaxError and
+    # RuntimeError here, none of them a ValueError.
+    (setup / "bad.npz").write_bytes(_damage((setup / "ckpt.npz").read_bytes(), damage))
+    assert _run(setup, "generate", setup / "bad.npz", ["--max-len", "4"]) == 1
+    assert "bad.npz: unreadable checkpoint" in _single_error(capsys)
+
+
 def test_checkpoint_missing_decoder_prompt(setup, capsys):
     arrays = _arrays(setup / "ckpt.npz")
     del arrays["prompts/P_de"]

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptsum import autodiff as ad
 from promptsum import decoding
 from promptsum.corpus import EOS_ID
-from promptsum.decoding import beam_search, greedy_decode, sequence_logprob
+from promptsum.decoding import Hypothesis, _select, beam_search, greedy_decode, sequence_logprob
 from promptsum.evaluation import export_attention, perplexity
 from promptsum.model import decode_logits, encode_source
 
@@ -158,6 +160,61 @@ class TestBeamSearch:
         backbone, prompts, config = tiny_model()
         with pytest.raises(ValueError):
             beam_search(backbone, prompts, config, make_doc([4]), beam=0)
+
+
+def reference_select(beams, live, logprobs, beam):
+    """Candidate selection as ``beam_search`` did it before ``_select``: one
+    block of candidate arrays per beam slot, concatenated, then cut and sorted."""
+    rows = iter(logprobs)
+    scores, tokens, slots = [], [], []
+    for slot, hyp in enumerate(beams):
+        if slot in live:
+            row = next(rows)
+            scores.append(hyp.logp + row)
+            tokens.append(np.arange(len(row)))
+        else:
+            scores.append(np.array([hyp.logp]))
+            tokens.append(np.array([hyp.ids[-1] if hyp.ids else -1]))
+        slots.append(np.full(len(tokens[-1]), slot))
+    score, token, slot_of = (np.concatenate(a) for a in (scores, tokens, slots))
+    if score.size > beam:
+        kth = np.partition(score, score.size - beam)[score.size - beam]
+        keep = np.flatnonzero(~(score < kth))
+        score, token, slot_of = score[keep], token[keep], slot_of[keep]
+    order = np.lexsort((slot_of, token, -score))[:beam]
+    return [(int(slot_of[i]), int(token[i]), float(score[i])) for i in order]
+
+
+# Few distinct values, so that exact ties are common; -inf and NaN included.
+_scores = st.one_of(
+    st.sampled_from([0.0, -0.5, -1.0, -2.0, -math.inf, math.nan]),
+    st.floats(-5.0, 0.0),
+)
+
+
+@st.composite
+def _step(draw):
+    """Beams with some closed hypotheses, logprobs for the live ones, and a beam
+    width that may exceed the number of candidates."""
+    vocab = draw(st.integers(1, 6))
+    n_beams = draw(st.integers(1, 5))
+    live = sorted(draw(st.sets(st.integers(0, n_beams - 1), min_size=1)))
+    beams = []
+    for slot in range(n_beams):
+        ids = tuple(draw(st.lists(st.integers(0, vocab - 1), max_size=3)))
+        beams.append(Hypothesis(ids, draw(_scores), slot not in live))
+    rows = st.lists(_scores, min_size=vocab, max_size=vocab)
+    logprobs = np.array([draw(rows) for _ in live]).reshape(len(live), vocab)
+    beam = draw(st.integers(1, len(live) * vocab + n_beams + 2))
+    return beams, live, logprobs, beam
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step())
+def test_select_picks_what_the_per_slot_loop_picks(step):
+    got = _select(*step)
+    want = reference_select(*step)
+    assert [(s, t, x.hex()) for s, t, x in got] == [(s, t, x.hex()) for s, t, x in want]
 
 
 class TestSequenceLogprob:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptsum import autodiff as ad
 from promptsum import decoding
 from promptsum.autodiff import Tensor
 from promptsum.corpus import EOS_ID
@@ -269,6 +270,53 @@ class TestCachedRows:
             _next_logprobs(backbone, prompts, config, enc, batch)
         assert enc.cache.ids.tolist() == [[4, 5], [6, 7]]
         assert enc.cache.self_kv is kv
+
+
+class TestCachedStep:
+    @SETTINGS
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([1, 2]),
+        st.integers(0, 3),
+        st.booleans(),
+        st.integers(0, 10_000),
+        st.data(),
+    )
+    def test_cached_steps_match_teacher_forcing_without_concat(
+        self, batch, layers, len_de, decoder_only, seed, data
+    ):
+        # B prefixes step along their tokens, one or more at a time, after a
+        # first call on B empty prefixes.
+        backbone, prompts, config = tiny_model(
+            seed=seed, vocab=12, layers=layers, len_de=len_de, decoder_only=decoder_only
+        )
+        doc = make_doc([4, 5, 6], [7, 8])
+        enc = encode_source(backbone, prompts, config, doc)
+        fresh = encode_source(backbone, prompts, config, doc)
+        length = data.draw(st.integers(1, 4))
+        tokens = st.lists(st.integers(0, 11), min_size=length, max_size=length)
+        seqs = data.draw(st.lists(tokens, min_size=batch, max_size=batch))
+        decode_logits(backbone, prompts, config, enc, [[]] * batch, cache=enc.cache)
+        concats = []
+        real = ad.concat_rows
+
+        def counting(parts):
+            concats.append(len(parts))
+            return real(parts)
+
+        done = 0
+        for n in sorted(data.draw(st.sets(st.integers(1, length), min_size=1))):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ad, "concat_rows", counting)
+                logits, _ = decode_logits(
+                    backbone, prompts, config, enc, [seq[:n] for seq in seqs], cache=enc.cache
+                )
+            assert logits.shape == (batch, n - done, backbone.dims.vocab)
+            for b, seq in enumerate(seqs):
+                full, _ = decode_logits(backbone, prompts, config, fresh, seq[:n])
+                np.testing.assert_allclose(logits.data[b], full.data[-(n - done):], rtol=0, atol=1e-12)
+            done = n
+        assert not concats
 
 
 class TestBeamAgainstReference:
