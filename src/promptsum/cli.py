@@ -6,8 +6,9 @@ Each subcommand is declared once, in ``_COMMANDS``: its help, handler, flags
 and outputs. Every run writes a manifest (command, resolved config, seeds,
 the input files among its flags) into its output directory before doing any
 work and rewrites it on exit with the finish time, duration, status and the
-count of empty records skipped per dataset file. A lock file holding the
-run's pid makes one run own the directory at a time.
+count of empty records skipped per dataset file; a command that saves trained
+prompts adds which epoch's prompts it kept. A lock file holding the run's pid
+makes one run own the directory at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -29,6 +31,7 @@ from .corpus import (
     Document,
     EmptyDocumentError,
     ParseError,
+    SummaryPair,
     Vocab,
     atomic_open,
     build_vocab,
@@ -62,7 +65,7 @@ from .pseudodata import (
     compute_filter_threshold,
     filter_pseudo,
 )
-from .training import TrainConfig, TrainingDivergedError, init_train_state, run_stage
+from .training import TrainConfig, TrainingDivergedError, check_lengths, init_train_state, run_stage
 
 
 class CliError(ValueError):
@@ -167,7 +170,8 @@ def _write_json(path, payload, sort_keys: bool = False) -> None:
 
 @contextmanager
 def _run(out_dir, command: str, cfg: dict, inputs: dict, outputs: list[str], argv: list[str]):
-    """Own ``out_dir`` for one run and keep its manifest; yields its skipped-record counts."""
+    """Own ``out_dir`` for one run and keep its manifest; yields the manifest, for the
+    handler to add to before it is rewritten on exit."""
     os.makedirs(out_dir, exist_ok=True)
     lock = os.path.join(out_dir, ".lock")
     try:
@@ -198,7 +202,7 @@ def _run(out_dir, command: str, cfg: dict, inputs: dict, outputs: list[str], arg
         _write_json(path, manifest, sort_keys=True)
         manifest.update(status="ok", error=None)
         try:
-            yield manifest["n_skipped"]
+            yield manifest
         except BaseException as exc:
             manifest.update(status="error", error=str(exc) or type(exc).__name__)
             raise
@@ -215,10 +219,10 @@ def _write_train_log(out_dir, history: list[dict]) -> None:
     write_predictions(os.path.join(out_dir, "train_log.jsonl"), history)  # any rows, one JSON line each
 
 
-def _load(args, flag: str, vocab: Vocab, cfg: dict, skipped: dict) -> Dataset:
+def _load(args, flag: str, vocab: Vocab, cfg: dict, run: dict) -> Dataset:
     """The dataset named by ``--<flag>``; its skipped-record count goes to the manifest."""
     data = load_dataset(getattr(args, flag), vocab, cfg["max_src_tokens"])
-    skipped[flag] = data.skipped
+    run["n_skipped"][flag] = data.skipped
     return data
 
 
@@ -288,14 +292,25 @@ def _train_config(cfg: dict, args, stage: str) -> TrainConfig:
     )
 
 
+def _used(pool: list, chosen) -> list[tuple[int, SummaryPair]]:
+    """(index in ``pool``, pair) for each pair of ``pool`` that is one of ``chosen``."""
+    ids = {id(pair) for pair in chosen}
+    return [(i, pair) for i, pair in enumerate(pool) if id(pair) in ids]
+
+
 def _train(args, cfg: dict, stage: str, prompts, backbone, train: list, dev: list):
     tc = _train_config(cfg, args, stage)
-    return run_stage(stage, train, dev, init_train_state(prompts, backbone, tc), backbone, tc)
+    # Without a dev set run_stage warns that it keeps the final prompts; the
+    # manifest's "selected" records that instead, so stderr stays clean.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "no dev set", UserWarning)
+        return run_stage(stage, train, dev, init_train_state(prompts, backbone, tc), backbone, tc)
 
 
-def _save_trained(args, backbone, state, what: str) -> None:
+def _save_trained(args, backbone, state, what: str, run: dict) -> None:
     save_checkpoint(os.path.join(args.out, "checkpoint.npz"), backbone, state.prompts)
     _write_train_log(args.out, state.loss_history)
+    run["selected"] = state.selected
     print(f"{what}: {state.step} steps")
 
 
@@ -314,11 +329,11 @@ def _render_document(doc: Document, vocab: Vocab) -> str:
 
 
 # --------------------------------------------------------------------------
-# subcommands: handler(parsed flags, resolved config, skipped-count dict)
+# subcommands: handler(parsed flags, resolved config, manifest)
 # --------------------------------------------------------------------------
 
 
-def cmd_build_vocab(args, cfg: dict, skipped: dict) -> None:
+def cmd_build_vocab(args, cfg: dict, run: dict) -> None:
     texts = []
     for _, record in read_records(args.data):
         texts.append(str(record.get("document", "")))
@@ -336,7 +351,7 @@ def _check_filter(args) -> None:
         raise CliError("--filter requires --fewshot for the threshold")
 
 
-def cmd_build_pseudo(args, cfg: dict, skipped: dict) -> None:
+def cmd_build_pseudo(args, cfg: dict, run: dict) -> None:
     vocab = load_vocab(args.vocab)
     texts = []
     for lineno, record in read_records(args.data):
@@ -374,7 +389,7 @@ def cmd_build_pseudo(args, cfg: dict, skipped: dict) -> None:
         "n_output": len(pairs),
     }
     if args.filter:
-        fewshot = _load(args, "fewshot", vocab, cfg, skipped)
+        fewshot = _load(args, "fewshot", vocab, cfg, run)
         threshold = compute_filter_threshold(fewshot)
         pairs = filter_pseudo(pairs, threshold)
         stats["threshold"] = {
@@ -407,45 +422,52 @@ def _lead_document(text: str, vocab: Vocab, cfg: dict) -> Document:
     return truncate_document(Document(tuple(token_sents)), cfg["max_src_tokens"])
 
 
-def cmd_pretrain_backbone(args, cfg: dict, skipped: dict) -> None:
+def cmd_pretrain_backbone(args, cfg: dict, run: dict) -> None:
     vocab = load_vocab(args.vocab)
-    data = _load(args, "data", vocab, cfg, skipped)
+    data = _load(args, "data", vocab, cfg, run)
     backbone = _backbone_from_args(args, cfg, vocab)
     config = PromptConfig(len_en=0, len_de=0, strategy="none")
+    check_lengths(enumerate(data), config, backbone.dims.max_pos, "--data")
     prompts = init_prompts(config, backbone, cfg["seed"])
     state = _train(args, cfg, "pretrain", prompts, backbone, data, [])
-    _save_trained(args, backbone, state, "pretrained backbone")
+    _save_trained(args, backbone, state, "pretrained backbone", run)
 
 
-def cmd_pretrain_prompts(args, cfg: dict, skipped: dict) -> None:
+def cmd_pretrain_prompts(args, cfg: dict, run: dict) -> None:
     vocab = load_vocab(args.vocab)
-    data = _load(args, "data", vocab, cfg, skipped)
-    dev = _load(args, "dev", vocab, cfg, skipped) if args.dev else []
+    data = _load(args, "data", vocab, cfg, run)
+    dev = _load(args, "dev", vocab, cfg, run) if args.dev else []
     backbone = _backbone_from_args(args, cfg, vocab)
     config = _prompt_config(cfg, [p.document for p in data])
+    check_lengths(enumerate(data), config, backbone.dims.max_pos, "--data")
+    check_lengths(enumerate(dev), config, backbone.dims.max_pos, "--dev")
     prompts = init_prompts(config, backbone, cfg["seed"])
     state = _train(args, cfg, "pretrain", prompts, backbone, data, dev)
-    _save_trained(args, backbone, state, "pretrained prompts")
+    _save_trained(args, backbone, state, "pretrained prompts", run)
 
 
-def cmd_finetune(args, cfg: dict, skipped: dict) -> None:
+def cmd_finetune(args, cfg: dict, run: dict) -> None:
     backbone, prompts, vocab = _load_checkpoint(args)
+    max_pos = backbone.dims.max_pos
     if args.train:
-        train = _load(args, "train", vocab, cfg, skipped)
-        dev = _load(args, "dev", vocab, cfg, skipped) if args.dev else []
+        train = _load(args, "train", vocab, cfg, run)
+        dev = _load(args, "dev", vocab, cfg, run) if args.dev else []
+        check_lengths(enumerate(train), prompts.config, max_pos, "--train")
+        check_lengths(enumerate(dev), prompts.config, max_pos, "--dev")
     else:
         if not args.data:
             raise CliError("provide --data (with --fewshot-size) or --train/--dev")
-        pairs = _load(args, "data", vocab, cfg, skipped)
+        pairs = _load(args, "data", vocab, cfg, run)
         split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
         train, dev = list(split.train), list(split.dev)
+        check_lengths(_used(pairs, train + dev), prompts.config, max_pos, "--data")
     state = _train(args, cfg, "finetune", prompts, backbone, train, dev)
-    _save_trained(args, backbone, state, "finetuned")
+    _save_trained(args, backbone, state, "finetuned", run)
 
 
-def cmd_generate(args, cfg: dict, skipped: dict) -> None:
+def cmd_generate(args, cfg: dict, run: dict) -> None:
     backbone, prompts, vocab = _load_checkpoint(args)
-    test = _load(args, "data", vocab, cfg, skipped)
+    test = _load(args, "data", vocab, cfg, run)
     records = generate_predictions(
         backbone, prompts, prompts.config, test, cfg["beam"], cfg["max_len"], vocab=vocab
     )
@@ -458,10 +480,10 @@ def _check_zero_shot_checkpoint(args) -> None:
         raise CliError(f"missing pretrained-prompts checkpoint: {args.checkpoint}")
 
 
-def cmd_evaluate(args, cfg: dict, skipped: dict) -> None:
+def cmd_evaluate(args, cfg: dict, run: dict) -> None:
     """``evaluate`` and ``zero-shot``: ROUGE and perplexity of a checkpoint."""
     backbone, prompts, vocab = _load_checkpoint(args)
-    test = _load(args, "data", vocab, cfg, skipped)
+    test = _load(args, "data", vocab, cfg, run)
     report, records = evaluate(
         backbone, prompts, prompts.config, test, cfg["beam"], cfg["max_len"], vocab=vocab
     )
@@ -482,9 +504,9 @@ def cmd_evaluate(args, cfg: dict, skipped: dict) -> None:
     )
 
 
-def cmd_probe_attention(args, cfg: dict, skipped: dict) -> None:
+def cmd_probe_attention(args, cfg: dict, run: dict) -> None:
     backbone, prompts, vocab = _load_checkpoint(args)
-    test = _load(args, "data", vocab, cfg, skipped)
+    test = _load(args, "data", vocab, cfg, run)
     if not 0 <= args.index < len(test):
         raise CliError(f"--index {args.index} out of range (0..{len(test) - 1})")
     record = export_attention(
@@ -505,23 +527,32 @@ _ABLATION_VARIANTS = (
 )
 
 
-def cmd_ablate(args, cfg: dict, skipped: dict) -> None:
+def cmd_ablate(args, cfg: dict, run: dict) -> None:
     vocab = load_vocab(args.vocab)
-    pairs = _load(args, "data", vocab, cfg, skipped)
+    pairs = _load(args, "data", vocab, cfg, run)
     split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
     backbone = _backbone_from_args(args, cfg, vocab)
     train_docs = [p.document for p in split.train]
 
     k_sweep = tuple((f"fixed_k k={k}", {"strategy": "fixed_k", "k": k}) for k in args.k_grid or ())
+    variants = [
+        (
+            name,
+            replace(
+                _prompt_config({**cfg, **overrides}, train_docs),
+                shared=overrides.get("shared", False),
+                encoder_only=overrides.get("encoder_only", False),
+                decoder_only=overrides.get("decoder_only", False),
+            ),
+        )
+        for name, overrides in _ABLATION_VARIANTS + k_sweep
+    ]
+    used = _used(pairs, split.train + split.dev)
+    for _, config in variants:
+        check_lengths(used, config, backbone.dims.max_pos, "--data")
 
     rows = []
-    for name, overrides in _ABLATION_VARIANTS + k_sweep:
-        config = replace(
-            _prompt_config({**cfg, **overrides}, train_docs),
-            shared=overrides.get("shared", False),
-            encoder_only=overrides.get("encoder_only", False),
-            decoder_only=overrides.get("decoder_only", False),
-        )
+    for name, config in variants:
         prompts = init_prompts(config, backbone, cfg["seed"])
         state = _train(args, cfg, "finetune", prompts, backbone, list(split.train), list(split.dev))
         report, _ = evaluate(
@@ -702,8 +733,8 @@ def dispatch(argv=None) -> int:
         if command.check:
             command.check(args)
         inputs = {dest: getattr(args, dest) for dest in _INPUTS if hasattr(args, dest)}
-        with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as skipped:
-            command.handler(args, cfg, skipped)
+        with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:
+            command.handler(args, cfg, run)
     except SystemExit as exc:  # --help; argument errors raise CliError instead
         return int(exc.code) if exc.code else 0
     # CliError and the corpus, config and checkpoint errors are all ValueErrors.

@@ -204,10 +204,10 @@ class DecoderCache:
     """Decoder key/value rows of one document, held without an autodiff tape.
 
     ``cross`` holds each layer's cross-attention K/V of the encoder memory,
-    projected on first use. ``ids`` is the [B, t] batch of target prefixes of
-    the last cached ``decode_logits`` call, and ``self_kv`` each layer's
-    self-attention K/V over their rows [P_de ; BOS ; prefix], as [B, rows, d]
-    arrays.
+    projected and split into heads on first use. ``ids`` is the [B, t] batch
+    of target prefixes of the last cached ``decode_logits`` call, and
+    ``self_kv`` each layer's self-attention K/V over their rows
+    [P_de ; BOS ; prefix], as [B, rows, d] arrays.
     """
 
     cross: list[KV] | None = None
@@ -418,10 +418,29 @@ def _attention(
     Axes before the last two are batch axes. ``k``/``v`` carry the same ones,
     or none, in which case every batch row attends to the same keys.
     """
+    k_heads, v_heads = _split_kv((k, v), heads)
+    return _attend(q_in, k_heads, v_heads, params, prefix, heads, mask, capture)
+
+
+def _split_kv(kv: KV, heads: int) -> KV:
+    """Projected key and value rows, each split into heads."""
+    return _split_heads(kv[0], heads), _split_heads(kv[1], heads)
+
+
+def _attend(
+    q_in: Tensor,
+    k_heads: Tensor,
+    v_heads: Tensor,
+    params: dict[str, Tensor],
+    prefix: str,
+    heads: int,
+    mask: np.ndarray | None = None,
+    capture: list[np.ndarray] | None = None,
+) -> Tensor:
+    """``_attention`` over K/V already split into heads, as ``_split_kv`` gives them."""
     dh = q_in.data.shape[-1] // heads
     q = _split_heads(_linear(q_in, params[f"{prefix}/Wq"], params[f"{prefix}/bq"]), heads)
-    k, v = _split_heads(k, heads), _split_heads(v, heads)
-    out = ad.attention(q, k, v, 1.0 / math.sqrt(dh), mask, capture)
+    out = ad.attention(q, k_heads, v_heads, 1.0 / math.sqrt(dh), mask, capture)
     out = ad.reshape(_swap_axes(out, -3, -2), q_in.data.shape)
     return _linear(out, params[f"{prefix}/Wo"], params[f"{prefix}/bo"])
 
@@ -506,6 +525,15 @@ def _gather_past(cached: np.ndarray, parent: np.ndarray, rows: int) -> np.ndarra
     return out
 
 
+def _cross_kv(backbone: BackboneParams, enc: EncodedSource) -> list[KV]:
+    """Each decoder layer's cross-attention K/V of the encoder memory, split into heads."""
+    p = backbone.params
+    return [
+        _split_kv(_project_kv(enc.memory, p, f"dec{i}/cross"), backbone.dims.heads)
+        for i in range(backbone.dims.layers)
+    ]
+
+
 def decode_logits(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -560,12 +588,10 @@ def decode_logits(
                 start = len_de + 1 + cache.ids.shape[1]
                 past = [tuple(_gather_past(a, parent, t_dec) for a in kv) for kv in cache.self_kv]
             if cache.cross is None:
-                cache.cross = [
-                    _project_kv(enc.memory, p, f"dec{i}/cross") for i in range(dims.layers)
-                ]
+                cache.cross = _cross_kv(backbone, enc)
             cross = cache.cross
         else:
-            cross = [_project_kv(enc.memory, p, f"dec{i}/cross") for i in range(dims.layers)]
+            cross = _cross_kv(backbone, enc)
 
         ids = np.concatenate([np.full(lead + (1,), BOS_ID, dtype=np.int64), ids], axis=-1)
         first = max(start - len_de, 0)
@@ -597,7 +623,7 @@ def decode_logits(
             x = ad.add(x, _attention(h, k, v, p, f"dec{i}/self", dims.heads, mask=mask))
             h = ad.layer_norm(x, p[f"dec{i}/ln2/gamma"], p[f"dec{i}/ln2/beta"])
             ck, cv = cross[i]
-            x = ad.add(x, _attention(h, ck, cv, p, f"dec{i}/cross", dims.heads, capture=capture))
+            x = ad.add(x, _attend(h, ck, cv, p, f"dec{i}/cross", dims.heads, capture=capture))
             h = ad.layer_norm(x, p[f"dec{i}/ln3/gamma"], p[f"dec{i}/ln3/beta"])
             x = ad.add(x, _ffn(h, p, f"dec{i}/ffn"))
         x = ad.layer_norm(x, p["dec/ln/gamma"], p["dec/ln/beta"])
@@ -704,18 +730,20 @@ def save_checkpoint(path, backbone: BackboneParams, prompts: PromptSet) -> None:
 def load_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
     """Rebuild backbone and prompts, rejecting any dimension mismatch.
 
-    A damaged file (not a zip, truncated, corrupt member, a zip feature the
-    reader does not support, a member flagged as encrypted, an array header
-    NumPy cannot parse) or malformed metadata raises ``CheckpointError``
-    naming the path.
+    A file that cannot be read or is damaged (not a zip, truncated, corrupt
+    member, a zip feature the reader does not support, a member flagged as
+    encrypted, a directory offset that points before the file, an array
+    header NumPy cannot parse) or malformed metadata raises
+    ``CheckpointError`` naming the path.
     """
     try:
         return _read_checkpoint(path)
     # RuntimeError: zipfile on a member flagged as encrypted. SyntaxError and
-    # tokenize.TokenError: NumPy on an array header it cannot parse.
+    # tokenize.TokenError: NumPy on an array header it cannot parse. OSError:
+    # the file cannot be opened, or zipfile seeks to a negative offset.
     except (
         zipfile.BadZipFile, EOFError, zlib.error, NotImplementedError,
-        RuntimeError, SyntaxError, tokenize.TokenError,
+        RuntimeError, SyntaxError, tokenize.TokenError, OSError,
     ) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
 

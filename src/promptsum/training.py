@@ -11,13 +11,21 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import EOS_ID, PAD_ID, SummaryPair
-from .model import BackboneParams, PromptConfig, PromptSet, decode_logits, encode_source
+from .model import (
+    BackboneParams,
+    LengthOverflowError,
+    PromptConfig,
+    PromptSet,
+    decode_logits,
+    encode_source,
+)
 from .rouge import rouge_n_f1
 
 MODES = ("prompt_only", "full_model")
@@ -47,8 +55,17 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.peak_lr <= 0:
-            raise ValueError("peak_lr must be > 0")
+        # Written so that NaN fails each check: a NaN or infinite setting would
+        # turn the Adam moments or the prompts non-finite.
+        if not 0 < self.peak_lr < math.inf:
+            raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        if self.warmup_ratio is not None and not 0 <= self.warmup_ratio < math.inf:
+            raise ValueError(f"warmup_ratio must be finite and >= 0, got {self.warmup_ratio}")
         if self.batch < 1 or self.grad_accum < 1:
             raise ValueError("batch and grad_accum must be >= 1")
         if (self.warmup_steps is None) == (self.warmup_ratio is None):
@@ -61,6 +78,9 @@ class TrainState:
     moments: dict[str, tuple[np.ndarray, np.ndarray]]
     step: int = 0
     loss_history: list[dict] = field(default_factory=list)
+    # Which prompts ``run_stage`` returned: {"by": "dev_rouge1", "epoch": n}
+    # for the best dev epoch, or {"by": "final", "epoch": n} without a dev set.
+    selected: dict | None = None
 
 
 def trainable_tensors(
@@ -129,6 +149,28 @@ def batch_mean_nll(
     for t in totals[1:]:
         summed = ad.add(summed, t)
     return ad.scale(summed, 1.0 / n_tokens), n_tokens
+
+
+def check_lengths(
+    pairs: Iterable[tuple[int, SummaryPair]], config: PromptConfig, max_pos: int, source: str
+) -> None:
+    """Reject, before any training work, a pair the model has no positions for.
+
+    A pair needs len_en + source-token encoder rows and len_de + summary-token
+    decoder rows (the summary's EOS is predicted from the row before it).
+    ``pairs`` yields (record index, pair); the error names ``source`` and the
+    index.
+    """
+    for i, pair in pairs:
+        for side, prompt, n_prompt, tokens, what in (
+            ("encoder", "len_en", config.effective_len_en, pair.document.flat_length, "source"),
+            ("decoder", "len_de", config.effective_len_de, len(pair.summary), "summary"),
+        ):
+            if n_prompt + tokens > max_pos:
+                raise LengthOverflowError(
+                    f"{source} record {i}: {side} length {n_prompt + tokens} ({prompt} "
+                    f"{n_prompt} + {tokens} {what} tokens) exceeds max_pos {max_pos}"
+                )
 
 
 def _chunk(batch: list, n_chunks: int) -> list[list]:
@@ -299,7 +341,8 @@ def run_stage(
     After each epoch the dev set is greedy-decoded and scored with ROUGE-1 F1,
     which is appended to ``loss_history`` as ``{"epoch": n, "dev_rouge1": x}``;
     the prompts from the best epoch are restored into the returned state. With
-    no dev set the final checkpoint is returned with a warning.
+    no dev set the final checkpoint is returned with a warning. Either way
+    ``state.selected`` records the choice.
     """
     if stage not in ("pretrain", "finetune"):
         raise ValueError(f"unknown stage {stage!r}")
@@ -324,6 +367,7 @@ def run_stage(
     rng = np.random.default_rng(config.seed)
     best_score = -np.inf
     best_snap: dict[str, np.ndarray] | None = None
+    best_epoch = config.epochs
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(len(data))
         for s in range(steps_per_epoch):
@@ -334,11 +378,12 @@ def run_stage(
             score = _dev_rouge1(backbone, state.prompts, state.prompts.config, dev)
             state.loss_history.append({"epoch": epoch, "dev_rouge1": score})
             if score > best_score:
-                best_score = score
+                best_score, best_epoch = score, epoch
                 best_snap = state.prompts.snapshot()
 
-    if dev and best_snap is not None:
+    if best_snap is not None:
         state.prompts.restore(best_snap)
     elif not dev:
         warnings.warn("no dev set; returning the final checkpoint")
+    state.selected = {"by": "dev_rouge1" if best_snap is not None else "final", "epoch": best_epoch}
     return state

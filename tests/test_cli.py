@@ -327,6 +327,25 @@ class TestTrainingCommands:
             assert entry["tokens"] > 0
             assert entry["grad_norm"] > 0
 
+    def test_manifest_records_which_prompts_were_kept(self, corpus_dir, capsys):
+        import warnings
+
+        _build_pseudo(corpus_dir)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _pretrain(corpus_dir, epochs="2")
+        assert not [w for w in caught if "no dev set" in str(w.message)]
+        assert capsys.readouterr().err == ""
+        manifest = json.load(open(corpus_dir / "ckpt" / "manifest.json"))
+        assert manifest["selected"] == {"by": "final", "epoch": 2}
+
+        _pretrain(corpus_dir, out="dev", epochs="2", extra=["--dev", str(corpus_dir / "test.jsonl")])
+        log = [json.loads(l) for l in open(corpus_dir / "dev" / "train_log.jsonl")]
+        scores = [e["dev_rouge1"] for e in log if "epoch" in e]
+        selected = json.load(open(corpus_dir / "dev" / "manifest.json"))["selected"]
+        assert selected == {"by": "dev_rouge1", "epoch": scores.index(max(scores)) + 1}
+
     def test_failed_log_write_keeps_earlier_log(self, tmp_path):
         from promptsum.cli import _write_train_log
 

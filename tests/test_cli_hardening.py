@@ -62,14 +62,19 @@ def _damage(raw: bytes, damage: str) -> bytes:
     if damage == "dtype":
         at = raw.rindex(b"'descr': '<f8'", 0, header) + len(b"'descr': '")
         return raw[:at] + b"," + raw[at + 1 :]
+    if damage == "directory offset":
+        # The end record's offset of the central directory, past its real
+        # place, makes zipfile seek to a negative offset (an OSError).
+        at = raw.rindex(b"PK\x05\x06") + 16
+        return raw[:at] + (0x7FFFFFFF).to_bytes(4, "little") + raw[at + 4 :]
     at = raw.index(b"PK\x01\x02") + 8  # general-purpose flags of the first central entry
     return raw[:at] + bytes([raw[at] | 1]) + raw[at + 1 :]
 
 
-@pytest.mark.parametrize("damage", ["open bracket", "dtype", "encrypted flag"])
+@pytest.mark.parametrize("damage", ["open bracket", "dtype", "encrypted flag", "directory offset"])
 def test_damaged_checkpoint_is_one_error_line(setup, capsys, damage):
-    # NumPy and zipfile raise tokenize.TokenError, SyntaxError and
-    # RuntimeError here, none of them a ValueError.
+    # NumPy and zipfile raise tokenize.TokenError, SyntaxError, RuntimeError
+    # and OSError here, none of them a ValueError.
     (setup / "bad.npz").write_bytes(_damage((setup / "ckpt.npz").read_bytes(), damage))
     assert _run(setup, "generate", setup / "bad.npz", ["--max-len", "4"]) == 1
     assert "bad.npz: unreadable checkpoint" in _single_error(capsys)
@@ -132,6 +137,44 @@ def test_encoder_overflow_fails_before_predictions(setup, capsys):
     err = _single_error(capsys)
     assert "test document 2" in err and "max_pos 64" in err
     assert not (setup / "out" / "predictions.jsonl").exists()
+
+
+_NEW_MODEL = [
+    "--d", "8", "--layers", "1", "--heads", "2", "--ffn", "16", "--max-pos", "40",
+    "--prompt-len-en", "4", "--prompt-len-de", "4", "--strategy", "none",
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, extra",
+    [
+        ("pretrain-prompts", "--data", _NEW_MODEL),
+        ("pretrain-prompts", "--dev", _NEW_MODEL + ["--data", "{short}"]),
+        ("pretrain-backbone", "--data", _NEW_MODEL[:10]),
+        ("finetune", "--train", ["--checkpoint", "{ckpt}"]),
+        ("finetune", "--data", ["--checkpoint", "{ckpt}", "--fewshot-size", "4"]),
+        ("ablate", "--data", _NEW_MODEL + ["--fewshot-size", "4"]),
+    ],
+    ids=["pretrain-prompts", "pretrain-prompts-dev", "pretrain-backbone", "finetune-train", "finetune-fewshot", "ablate"],
+)
+def test_training_pair_overflow_fails_before_the_first_step(setup, capsys, command, flag, extra):
+    # Record 7 has an 84-token summary: 4 + 85 decoder rows exceed max_pos 40
+    # (64 for the checkpoint), and 0 + 85 for the backbone. The other records
+    # fit; with --fewshot-size 4 all eight are drawn.
+    records = make_lead_corpus(7, seed=0, min_sentences=2, max_sentences=3)
+    write_jsonl(setup / "short.jsonl", records)
+    records.append({"document": "The cat sees the dog.", "summary": " ".join(["The cat sees the dog."] * 14)})
+    write_jsonl(setup / "long.jsonl", records)
+    paths = {"short": setup / "short.jsonl", "ckpt": setup / "ckpt.npz"}
+    argv = [
+        command, flag, str(setup / "long.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        *(arg.format(**paths) for arg in extra), "--epochs", "1", "--out", str(setup / "out"),
+    ]
+    assert dispatch(argv) == 1
+    err = _single_error(capsys)
+    assert f"{flag} record 7: decoder length" in err and "exceeds max_pos" in err
+    assert not (setup / "out" / "train_log.jsonl").exists()
+    assert json.loads((setup / "out" / "manifest.json").read_text())["status"] == "error"
 
 
 @pytest.mark.parametrize(

@@ -205,6 +205,19 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="warmup"):
             train_step(state, backbone, _pairs(2), config)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"peak_lr": math.nan}, {"peak_lr": math.inf}, {"beta1": math.inf}, {"beta1": 1.0},
+            {"beta2": math.nan}, {"beta2": -0.5}, {"adam_eps": 0.0}, {"adam_eps": math.nan},
+            {"warmup_steps": None, "warmup_ratio": math.inf},
+        ],
+    )
+    def test_settings_that_make_adam_non_finite_are_rejected(self, setting):
+        name = next(iter(setting.keys() - {"warmup_steps"}))
+        with pytest.raises(ValueError, match=name):
+            _quick_config(**setting)
+
     def test_deterministic_loss_curves(self):
         def run():
             backbone, prompts, _ = tiny_model(prompt_seed=9)
