@@ -46,10 +46,12 @@ from .corpus import (
     tokenize,
     truncate_document,
 )
+from .decoding import _check_lengths as check_decode_lengths
 from .evaluation import evaluate, export_attention, generate_predictions, write_predictions
 from .model import (
     ModelDims,
     PromptConfig,
+    check_rows,
     compute_n_max,
     count_trainable_params,
     init_backbone,
@@ -509,9 +511,13 @@ def cmd_probe_attention(args, cfg: dict, run: dict) -> None:
     test = _load(args, "data", vocab, cfg, run)
     if not 0 <= args.index < len(test):
         raise CliError(f"--index {args.index} out of range (0..{len(test) - 1})")
-    record = export_attention(
-        backbone, prompts, prompts.config, test[args.index], os.path.join(args.out, "attention.txt")
+    pair = test[args.index]
+    # The probe's prefix is the whole summary, EOS included: one decoder row more than training.
+    check_rows(
+        prompts.config, backbone.dims.max_pos, source=pair.document.flat_length,
+        targets=len(pair.summary) + 1, where=f"--index {args.index}: ",
     )
+    record = export_attention(backbone, prompts, prompts.config, pair, os.path.join(args.out, "attention.txt"))
     print(f"attention matrix: {record.matrix.shape[0]} x {record.matrix.shape[1]}")
 
 
@@ -550,6 +556,7 @@ def cmd_ablate(args, cfg: dict, run: dict) -> None:
     used = _used(pairs, split.train + split.dev)
     for _, config in variants:
         check_lengths(used, config, backbone.dims.max_pos, "--data")
+        check_decode_lengths(backbone, config, cfg["max_len"], cfg["beam"])
 
     rows = []
     for name, config in variants:

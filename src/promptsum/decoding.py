@@ -24,9 +24,9 @@ from .corpus import EOS_ID, Document
 from .model import (
     BackboneParams,
     EncodedSource,
-    LengthOverflowError,
     PromptConfig,
     PromptSet,
+    check_rows,
     decode_logits,
     encode_source,
 )
@@ -68,20 +68,13 @@ def _next_logprobs(
     return _log_softmax(logits.data[:, -1])
 
 
-def _check_lengths(backbone: BackboneParams, config: PromptConfig, max_len: int) -> None:
-    """Reject a max_len the decoder cannot reach, before any decoding work.
-
-    The last step runs [P_de ; BOS ; max_len - 1 generated tokens], which is
-    len_de + max_len rows.
-    """
+def _check_lengths(backbone: BackboneParams, config: PromptConfig, max_len: int, beam: int = 1) -> None:
+    """Reject a beam width, or a max_len the decoder has no rows for, before any decoding work."""
+    if beam < 1:
+        raise ValueError("beam must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rows = config.effective_len_de + max_len
-    if rows > backbone.dims.max_pos:
-        raise LengthOverflowError(
-            f"decoder length {rows} (len_de {config.effective_len_de} + max_len {max_len}) "
-            f"exceeds max_pos {backbone.dims.max_pos}"
-        )
+    check_rows(config, backbone.dims.max_pos, targets=max_len, where=f"max_len {max_len}: ")
 
 
 @ad.no_grad()
@@ -155,9 +148,7 @@ def beam_search(
     every hypothesis has finished or reached max_len. The result is a list
     of token ids that also carries the winner's cumulative log-probability.
     """
-    if beam < 1:
-        raise ValueError("beam must be >= 1")
-    _check_lengths(backbone, config, max_len)
+    _check_lengths(backbone, config, max_len, beam)
     enc = encode_source(backbone, prompts, config, src)
     beams = [Hypothesis((), 0.0, False)]
     best_finished: Hypothesis | None = None

@@ -19,9 +19,9 @@ from .decoding import beam_search
 from .model import (
     AttentionRecord,
     BackboneParams,
-    LengthOverflowError,
     PromptConfig,
     PromptSet,
+    check_rows,
     decode_logits,
     encode_source,
     forward,
@@ -70,12 +70,7 @@ def generate_predictions(
     encoder length is checked before the first is decoded.
     """
     for i, pair in enumerate(test):
-        rows = config.effective_len_en + pair.document.flat_length
-        if rows > backbone.dims.max_pos:
-            raise LengthOverflowError(
-                f"test document {i}: encoder length {rows} (len_en {config.effective_len_en} "
-                f"+ {pair.document.flat_length} source tokens) exceeds max_pos {backbone.dims.max_pos}"
-            )
+        check_rows(config, backbone.dims.max_pos, source=pair.document.flat_length, where=f"test document {i}: ")
     records = []
     for i, pair in enumerate(test):
         gen = beam_search(backbone, prompts, config, pair.document, beam, max_len)

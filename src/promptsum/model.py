@@ -108,6 +108,25 @@ class PromptConfig:
         return self.n_max + 1
 
 
+def check_rows(
+    config: PromptConfig, max_pos: int, *, source: int | None = None, targets: int | None = None, where: str = ""
+) -> None:
+    """Reject inputs the model has no positions for. The prompts are rows in front
+    of each input: the encoder runs len_en + ``source`` rows, the decoder len_de +
+    ``targets``, one per predicted token (a summary's length with EOS, a decode's
+    max_len, one more than a teacher-forced prefix). Each must be at most ``max_pos``;
+    a side given as None is not checked. ``where`` starts the error message."""
+    for side, prompt, n_prompt, n, what in (
+        ("encoder", "len_en", config.effective_len_en, source, "source"),
+        ("decoder", "len_de", config.effective_len_de, targets, "target"),
+    ):
+        if n is not None and n_prompt + n > max_pos:
+            raise LengthOverflowError(
+                f"{where}{side} length {n_prompt + n} ({prompt} {n_prompt} + {n} {what} tokens) "
+                f"exceeds max_pos {max_pos}"
+            )
+
+
 @dataclass
 class BackboneParams:
     """Named backbone tensors plus the frozen flag."""
@@ -463,13 +482,9 @@ def compose_encoder_input(
     Prompt rows take positions 0..len_en-1; token at flat position t takes
     position len_en + t plus its inner-prompt row (when a strategy is set).
     """
-    dims = backbone.dims
     len_en = config.effective_len_en
     flat = np.asarray(doc.flat, dtype=np.int64)
-    if len_en + flat.size > dims.max_pos:
-        raise LengthOverflowError(
-            f"encoder length {len_en + flat.size} exceeds max_pos {dims.max_pos}"
-        )
+    check_rows(config, backbone.dims.max_pos, source=flat.size)
     tok = ad.take_rows(backbone.embed, flat)
     pos = ad.take_rows(backbone.pos, np.arange(len_en, len_en + flat.size))
     x = ad.add(tok, pos)
@@ -572,9 +587,8 @@ def decode_logits(
     ids = np.array(tgt_prefix, dtype=np.int64)
     lead = ids.shape[:-1]  # () for one prefix, (B,) for a batch
     batch = np.atleast_2d(ids)
+    check_rows(config, dims.max_pos, targets=1 + ids.shape[-1])
     t_dec = len_de + 1 + ids.shape[-1]
-    if t_dec > dims.max_pos:
-        raise LengthOverflowError(f"decoder length {t_dec} exceeds max_pos {dims.max_pos}")
 
     # A cached call serves inference only: it records no tape, so the
     # tensors it keeps on the cache hold no graph either.
@@ -749,7 +763,8 @@ def load_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
 
 
 def _read_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
-    with np.load(path, allow_pickle=False) as npz:
+    # np.load leaves a file it opened itself open when the zip is unreadable.
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
         try:
             meta = json.loads(str(npz["__meta__"]))
         except KeyError as exc:

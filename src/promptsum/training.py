@@ -20,9 +20,9 @@ from .autodiff import Tensor
 from .corpus import EOS_ID, PAD_ID, SummaryPair
 from .model import (
     BackboneParams,
-    LengthOverflowError,
     PromptConfig,
     PromptSet,
+    check_rows,
     decode_logits,
     encode_source,
 )
@@ -154,23 +154,14 @@ def batch_mean_nll(
 def check_lengths(
     pairs: Iterable[tuple[int, SummaryPair]], config: PromptConfig, max_pos: int, source: str
 ) -> None:
-    """Reject, before any training work, a pair the model has no positions for.
-
-    A pair needs len_en + source-token encoder rows and len_de + summary-token
-    decoder rows (the summary's EOS is predicted from the row before it).
-    ``pairs`` yields (record index, pair); the error names ``source`` and the
-    index.
-    """
+    """Reject, before any training work, a pair the model has no positions for
+    (see ``model.check_rows``). ``pairs`` yields (record index, pair); the error
+    names ``source`` and the index."""
     for i, pair in pairs:
-        for side, prompt, n_prompt, tokens, what in (
-            ("encoder", "len_en", config.effective_len_en, pair.document.flat_length, "source"),
-            ("decoder", "len_de", config.effective_len_de, len(pair.summary), "summary"),
-        ):
-            if n_prompt + tokens > max_pos:
-                raise LengthOverflowError(
-                    f"{source} record {i}: {side} length {n_prompt + tokens} ({prompt} "
-                    f"{n_prompt} + {tokens} {what} tokens) exceeds max_pos {max_pos}"
-                )
+        check_rows(
+            config, max_pos, source=pair.document.flat_length, targets=len(pair.summary),
+            where=f"{source} record {i}: ",
+        )
 
 
 def _chunk(batch: list, n_chunks: int) -> list[list]:

@@ -58,6 +58,11 @@ def _commands(root) -> dict[str, list[str]]:
         "finetune": ["finetune", *ckpt, *data, *vocab, "--fewshot-size", "2", *TRAIN],
         "evaluate": ["evaluate", *ckpt, *data, *vocab, *DECODE],
         "probe-attention": ["probe-attention", *ckpt, *data, *vocab],
+        "pretrain-prompts-dev": [
+            "pretrain-prompts", *data, *vocab, *TINY_MODEL, *TINY_PROMPTS, *TRAIN,
+            "--dev", str(root / "data.jsonl"), "--backbone", str(root / "ckpt.npz"),
+        ],
+        "ablate": ["ablate", *data, *vocab, *TINY_MODEL, *TINY_PROMPTS, *TRAIN, *DECODE, "--fewshot-size", "2"],
     }
 
 
@@ -94,7 +99,10 @@ def test_mutated_runs_succeed_or_fail_on_one_line(world, capsys, scenario, data)
 
 
 # The input files a command reads, by flag, relative to the world fixture.
-_INPUT_FILES = {"--data": "data.jsonl", "--vocab": "v/vocab.txt", "--checkpoint": "ckpt.npz"}
+_INPUT_FILES = {
+    "--data": "data.jsonl", "--vocab": "v/vocab.txt", "--checkpoint": "ckpt.npz",
+    "--dev": "data.jsonl", "--fewshot": "data.jsonl", "--backbone": "ckpt.npz",
+}
 
 
 @st.composite
@@ -114,10 +122,8 @@ def _mutated(draw, raw: bytes) -> bytes:
     return raw[:at] + draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"])) + raw[at + 1 :]
 
 
-# About 30 ms an example on 2 vCPUs.
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(scenario=st.sampled_from(["evaluate", "finetune"]), flag=st.sampled_from(sorted(_INPUT_FILES)), data=st.data())
-def test_mutated_input_files_succeed_or_fail_on_one_line(world, capsys, scenario, flag, data):
+def _run_mutated(world, capsys, scenario: str, flag: str, data) -> None:
+    """Run ``scenario`` with the file of ``flag`` replaced by a mutated copy."""
     mutated = world / "mutated" / _INPUT_FILES[flag].replace("/", "-")
     mutated.parent.mkdir(exist_ok=True)
     mutated.write_bytes(data.draw(_mutated((world / _INPUT_FILES[flag]).read_bytes())))
@@ -126,3 +132,33 @@ def test_mutated_input_files_succeed_or_fail_on_one_line(world, capsys, scenario
     capsys.readouterr()
     rc = dispatch(argv)
     _assert_one_line_or_success(rc, capsys.readouterr().err)
+
+
+# About 30 ms an example on 2 vCPUs.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    scenario=st.sampled_from(["evaluate", "finetune"]),
+    flag=st.sampled_from(["--checkpoint", "--data", "--vocab"]),
+    data=st.data(),
+)
+def test_mutated_input_files_succeed_or_fail_on_one_line(world, capsys, scenario, flag, data):
+    _run_mutated(world, capsys, scenario, flag, data)
+
+
+# The other commands that read input files, by the flag of the mutated file.
+# An ablate run that succeeds trains and scores eight variants, about 0.3 s
+# on 2 vCPUs, so the bound keeps this test to a few seconds.
+_MORE_MUTATIONS = (
+    ("build-pseudo-gsg", "--fewshot"),
+    ("pretrain-prompts-dev", "--dev"),
+    ("pretrain-prompts-dev", "--backbone"),
+    *(("probe-attention", flag) for flag in ("--checkpoint", "--data", "--vocab")),
+    ("ablate", "--data"),
+    ("ablate", "--vocab"),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_MORE_MUTATIONS), data=st.data())
+def test_more_mutated_input_files_succeed_or_fail_on_one_line(world, capsys, case, data):
+    _run_mutated(world, capsys, *case, data)

@@ -178,6 +178,53 @@ def test_training_pair_overflow_fails_before_the_first_step(setup, capsys, comma
 
 
 @pytest.mark.parametrize(
+    "decode, message",
+    [
+        (["--max-len", "39"], "decoder length 43 (len_de 4 + 39 target tokens) exceeds max_pos 40"),
+        (["--max-len", "4", "--beam", "0"], "beam must be >= 1"),
+        (["--max-len", "0"], "max_len must be >= 1"),
+    ],
+    ids=["max-len-overflow", "beam-zero", "max-len-zero"],
+)
+def test_ablate_checks_decode_settings_before_training(setup, capsys, monkeypatch, decode, message):
+    # Every variant's pairs fit max_pos 40; only the decode settings do not.
+    # The encoder-only variant has no decoder prompt, so 0 + 39 rows would fit:
+    # the check has to cover every variant before the first one trains.
+    from promptsum import cli
+
+    monkeypatch.setattr(cli, "run_stage", lambda *a, **k: pytest.fail("trained"))
+    write_jsonl(setup / "short.jsonl", make_lead_corpus(4, seed=0, min_sentences=2, max_sentences=3))
+    rc = dispatch([
+        "ablate", "--data", str(setup / "short.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        *_NEW_MODEL, "--fewshot-size", "2", "--epochs", "1", *decode, "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "placement=" not in out
+    assert not (setup / "out" / "ablation.tsv").exists()
+
+
+def test_probe_attention_checks_its_pair_before_encoding(setup, capsys, monkeypatch):
+    # The probe runs len_de 4 + BOS + the 60-token summary (EOS included) =
+    # 65 decoder rows > max_pos 64, one row more than training on the pair.
+    from promptsum import model
+
+    monkeypatch.setattr(model, "encode_source", lambda *a, **k: pytest.fail("encoded"))
+    records = make_lead_corpus(2, seed=0)
+    records.append({"document": "The cat sees the dog.", "summary": " ".join(["cat"] * 59)})
+    write_jsonl(setup / "data.jsonl", records)
+    rc = dispatch([
+        "probe-attention", "--checkpoint", str(setup / "ckpt.npz"), "--data", str(setup / "data.jsonl"),
+        "--vocab", str(setup / "v" / "vocab.txt"), "--index", "2", "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    err = _single_error(capsys)
+    assert "--index 2: decoder length 65 (len_de 4 + 61 target tokens) exceeds max_pos 64" in err
+    assert not (setup / "out" / "attention.txt").exists()
+
+
+@pytest.mark.parametrize(
     "line",
     [
         "seed = 1.5",

@@ -17,6 +17,7 @@ from promptsum.model import (
     ModelDims,
     PromptConfig,
     assign_inner_prompts,
+    check_rows,
     compose_encoder_input,
     compute_n_max,
     count_trainable_params,
@@ -224,6 +225,40 @@ class TestComposeEncoderInput:
         wants_inner = PromptConfig(len_en=3, len_de=2, strategy="interval")
         with pytest.raises(ConfigError, match="inner"):
             compose_encoder_input(make_doc([4]), prompts, backbone, wants_inner)
+
+
+class TestRowRule:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        len_en=st.integers(0, 3),
+        len_de=st.integers(0, 3),
+        placement=st.sampled_from(["both", "encoder_only", "decoder_only"]),
+        sentences=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        n_prefix=st.integers(0, 5),
+    )
+    def test_rule_matches_the_rows_the_model_runs(self, len_en, len_de, placement, sentences, n_prefix):
+        backbone, prompts, config = tiny_model(
+            len_en=len_en, len_de=len_de, strategy="none",
+            encoder_only=placement == "encoder_only", decoder_only=placement == "decoder_only",
+        )
+        doc = make_doc(*([4] * n for n in sentences))
+        enc = encode_source(backbone, prompts, config, doc)
+        _, capture = decode_logits(backbone, prompts, config, enc, [5] * n_prefix, capture_attention=True)
+        enc_rows, dec_rows = enc.length, capture[0].shape[-2]
+
+        def raises(m, **rows) -> bool:
+            try:
+                check_rows(config, m, **rows)
+            except LengthOverflowError:
+                return True
+            return False
+
+        # Teacher forcing on an n-token prefix predicts n + 1 tokens.
+        source, targets = sum(sentences), n_prefix + 1
+        for m in range(min(enc_rows, dec_rows) - 1, max(enc_rows, dec_rows) + 2):
+            assert raises(m, source=source) == (enc_rows > m)
+            assert raises(m, targets=targets) == (dec_rows > m)
+            assert raises(m, source=source, targets=targets) == (max(enc_rows, dec_rows) > m)
 
 
 class TestForward:

@@ -477,7 +477,8 @@ class TestRunStage:
         config = _quick_config(epochs=25, batch=6, peak_lr=2e-2, seed=1)
         state = init_train_state(prompts, backbone, config)
         initial, _ = batch_mean_nll(backbone, prompts, pconfig, pairs)
-        state = run_stage("pretrain", pairs, [], state, backbone, config)
+        with pytest.warns(UserWarning, match="no dev set"):
+            state = run_stage("pretrain", pairs, [], state, backbone, config)
         final, _ = batch_mean_nll(backbone, state.prompts, pconfig, pairs)
         assert final.item() < initial.item()
 
@@ -485,7 +486,8 @@ class TestRunStage:
         backbone, prompts, _ = tiny_model()
         config = _quick_config(warmup_steps=None, warmup_ratio=0.5, epochs=2)
         state = init_train_state(prompts, backbone, config)
-        state = run_stage("pretrain", _pairs(2), [], state, backbone, config)
+        with pytest.warns(UserWarning, match="no dev set"):
+            state = run_stage("pretrain", _pairs(2), [], state, backbone, config)
         # 2 epochs x 1 step each, 50% ratio -> warmup_steps 1: peak hit at step 1
         assert state.loss_history[0]["lr"] == pytest.approx(config.peak_lr)
 
