@@ -316,36 +316,41 @@ def attention(
 ) -> Tensor:
     """``softmax(q @ kᵀ * scale + mask) @ v`` over the last two axes.
 
-    Leading (batch) axes broadcast as in ``matmul``. The scores, their
-    softmax and the probabilities share one buffer, updated in place. A copy
-    of the probabilities is appended to ``capture`` when one is given. Forward
-    and backward run the same array operations in the same order as the
-    chain ``matmul``, ``scale``, ``add``, softmax, ``matmul`` would, so the
-    results are bitwise equal to it.
+    Leading (batch) axes broadcast as in ``matmul``. No pass over the
+    ``[t_q, t_k]`` score buffer goes to a constant or to a normalisation:
+    ``scale`` multiplies ``q`` forward and ``gq``/``gk`` backward, and the
+    unnormalised ``e = exp(s - max)`` is kept, with its row sums ``z``
+    dividing the ``[t_q, d]`` products ``e @ v`` and ``g`` instead. The
+    softmax backward's row sums ``Σ_j p_ij (g_i·v_j)`` are taken as
+    ``g_i·out_i``, which they equal. A normalised copy of the probabilities
+    is appended to ``capture`` when one is given. The results agree with the
+    chain ``matmul``, ``scale``, ``add``, softmax, ``matmul`` up to rounding,
+    not bit for bit.
     """
     kt = np.swapaxes(k.data, -1, -2)
-    p = q.data @ kt
-    p *= scale
+    e = (q.data * scale) @ kt
     if mask is not None:
-        p += mask
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+        e += mask
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    z = e.sum(axis=-1, keepdims=True)
     if capture is not None:
-        capture.append(p.copy())
-    out_data = p @ v.data
+        capture.append(e / z)
+    out_data = e @ v.data
+    out_data /= z
 
     def backward(g):
-        gv = _unbroadcast(np.swapaxes(p, -1, -2) @ g, v.data.shape) if v.requires_grad else None
-        # Softmax backward, then the scale, in place on one fresh buffer.
-        gs = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), p.shape)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale
-        gq = _unbroadcast(gs @ k.data, q.data.shape) if q.requires_grad else None
+        gn = g / z
+        gv = _unbroadcast(np.swapaxes(e, -1, -2) @ gn, v.data.shape) if v.requires_grad else None
+        # Softmax backward in place on one fresh buffer: (gn·v_j - gn·out) * e.
+        gs = gn @ np.swapaxes(v.data, -1, -2)
+        gs -= np.einsum("...id,...id->...i", gn, out_data)[..., None]
+        gs = _unbroadcast(gs, e.shape)
+        gs *= e
+        gq = _unbroadcast(gs @ k.data, q.data.shape) * scale if q.requires_grad else None
         gk = None
         if k.requires_grad:
-            gk = np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape), -1, -2)
+            gk = np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape), -1, -2) * scale
         return gq, gk, gv
 
     return _result(out_data, (q, k, v), backward)

@@ -452,7 +452,7 @@ def test_criterion_12_pipeline_smoke(tmp_path):
                 "--beam", "4", "--max-len", "12",
                 "--out", str(base / f"eval_{arm}"),
             ]) == 0
-            report = json.load(open(base / f"eval_{arm}" / "report.json"))
+            report = json.loads((base / f"eval_{arm}" / "report.json").read_text())
             (trained_scores if arm == "trained" else untrained_scores).append(report["r1_f1"])
     mean_trained = float(np.mean(trained_scores))
     mean_untrained = float(np.mean(untrained_scores))

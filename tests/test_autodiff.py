@@ -320,9 +320,20 @@ def _attention_cases(draw):
     return shapes, mask, grads, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
+# The fused op scales q rather than the scores, divides e @ v rather than e,
+# and takes the softmax backward's row sums as g·out. Each reorders rounding
+# only: over 600 random cases the worst difference was 1.5e-15 of 1 + max|ref|.
+_ATTENTION_TOL = 1e-13
+
+
+def _assert_close(got: np.ndarray, ref: np.ndarray) -> None:
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= _ATTENTION_TOL * (1.0 + np.max(np.abs(ref), initial=0.0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(_attention_cases())
-def test_attention_matches_the_unfused_chain_bitwise(case):
+def test_attention_matches_the_unfused_chain(case):
     shapes, mask, grads, capture, seed = case
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=s) for s in shapes]
@@ -338,14 +349,15 @@ def test_attention_matches_the_unfused_chain_bitwise(case):
 
     out, leaves, probs = run(ad.attention)
     ref_out, ref_leaves, ref_probs = run(_unfused_attention)
-    assert out.data.tobytes() == ref_out.data.tobytes()
+    _assert_close(out.data, ref_out.data)
     for leaf, ref in zip(leaves, ref_leaves):
         assert (leaf.grad is None) == (ref.grad is None)
         if leaf.grad is not None:
-            assert leaf.grad.shape == ref.grad.shape
-            assert leaf.grad.tobytes() == ref.grad.tobytes()
+            _assert_close(leaf.grad, ref.grad)
     if capture:
-        assert [p.tobytes() for p in probs] == [p.tobytes() for p in ref_probs]
+        assert len(probs) == len(ref_probs) == 1
+        _assert_close(probs[0], ref_probs[0])
+        np.testing.assert_allclose(probs[0].sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

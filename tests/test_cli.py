@@ -28,6 +28,14 @@ def corpus_dir(tmp_path):
     return tmp_path
 
 
+def _read_json(path):
+    return json.loads(path.read_text())
+
+
+def _read_jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def _vocab(corpus_dir):
     return str(corpus_dir / "v" / "vocab.txt")
 
@@ -77,7 +85,7 @@ class TestDispatch:
 
 class TestRunBookkeeping:
     def test_manifest_written_with_config(self, corpus_dir):
-        manifest = json.load(open(corpus_dir / "v" / "manifest.json"))
+        manifest = _read_json(corpus_dir / "v" / "manifest.json")
         assert manifest["command"] == "build-vocab"
         assert manifest["config"]["beam"] == 4
         assert "started_utc" in manifest
@@ -96,7 +104,7 @@ class TestRunBookkeeping:
         assert "locked" in capsys.readouterr().err
 
     def test_manifest_records_a_finished_run(self, corpus_dir):
-        manifest = json.load(open(corpus_dir / "v" / "manifest.json"))
+        manifest = _read_json(corpus_dir / "v" / "manifest.json")
         assert manifest["status"] == "ok"
         assert manifest["error"] is None
         assert manifest["duration_s"] >= 0
@@ -107,7 +115,7 @@ class TestRunBookkeeping:
         out = corpus_dir / "failed"
         assert dispatch(["build-vocab", "--data", str(corpus_dir / "bad.jsonl"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = _read_json(out / "manifest.json")
         assert manifest["status"] == "error"
         assert err == f"error: {manifest['error']}\n"
         assert "finished_utc" in manifest and manifest["duration_s"] >= 0
@@ -197,7 +205,7 @@ class TestConfig:
             "--out", str(corpus_dir / "v2"),
         ])
         assert rc == 0
-        manifest = json.load(open(corpus_dir / "v2" / "manifest.json"))
+        manifest = _read_json(corpus_dir / "v2" / "manifest.json")
         assert manifest["config"]["beam"] == 2
         assert manifest["config"]["seed"] == 5
 
@@ -217,10 +225,10 @@ class TestConfig:
 class TestBuildPseudo:
     def test_lead_outputs_and_stats(self, corpus_dir):
         _build_pseudo(corpus_dir)
-        stats = json.load(open(corpus_dir / "pseudo" / "stats.json"))
+        stats = _read_json(corpus_dir / "pseudo" / "stats.json")
         assert stats["n_records"] == 12
         assert stats["n_built"] + sum(stats["rejections"].values()) == 12
-        lines = open(corpus_dir / "pseudo" / "pseudo.jsonl").read().splitlines()
+        lines = (corpus_dir / "pseudo" / "pseudo.jsonl").read_text().splitlines()
         assert len(lines) == stats["n_output"]
 
     def test_pseudo_reloads_with_sentence_structure(self, corpus_dir):
@@ -238,7 +246,7 @@ class TestBuildPseudo:
             "--out", str(corpus_dir / "gsg"),
         ])
         assert rc == 0
-        stats = json.load(open(corpus_dir / "gsg" / "stats.json"))
+        stats = _read_json(corpus_dir / "gsg" / "stats.json")
         assert stats["n_built"] > 0
 
     def test_filter_requires_fewshot(self, corpus_dir, capsys):
@@ -262,7 +270,7 @@ class TestBuildPseudo:
             "--out", str(corpus_dir / "filtered"),
         ])
         assert rc == 0
-        stats = json.load(open(corpus_dir / "filtered" / "stats.json"))
+        stats = _read_json(corpus_dir / "filtered" / "stats.json")
         assert stats["threshold"] is not None
         assert stats["threshold"]["value"] <= stats["threshold"]["epsilon"]
         assert stats["n_output"] <= stats["n_built"]
@@ -273,10 +281,10 @@ class TestBuildPseudo:
         write_jsonl(corpus_dir / "fewshot.jsonl", records)
         with pytest.warns(UserWarning, match="skipped 1"):
             _build_pseudo(corpus_dir, extra=["--fewshot", str(corpus_dir / "fewshot.jsonl")])
-        stats = json.load(open(corpus_dir / "pseudo" / "stats.json"))
+        stats = _read_json(corpus_dir / "pseudo" / "stats.json")
         assert stats["n_fewshot_skipped"] == 1
         _build_pseudo(corpus_dir)
-        assert json.load(open(corpus_dir / "pseudo" / "stats.json"))["n_fewshot_skipped"] is None
+        assert _read_json(corpus_dir / "pseudo" / "stats.json")["n_fewshot_skipped"] is None
 
     def test_failed_rewrite_keeps_earlier_outputs(self, corpus_dir, monkeypatch):
         _build_pseudo(corpus_dir)
@@ -314,13 +322,13 @@ class TestTrainingCommands:
         _build_pseudo(corpus_dir)
         ckpt = _pretrain(corpus_dir)
         assert os.path.exists(ckpt)
-        log = [json.loads(l) for l in open(corpus_dir / "ckpt" / "train_log.jsonl")]
+        log = _read_jsonl(corpus_dir / "ckpt" / "train_log.jsonl")
         assert log and {"step", "lr", "loss"} <= set(log[0])
 
     def test_train_log_records_step_telemetry(self, corpus_dir):
         _build_pseudo(corpus_dir)
         _pretrain(corpus_dir, epochs="1")
-        log = [json.loads(l) for l in open(corpus_dir / "ckpt" / "train_log.jsonl")]
+        log = _read_jsonl(corpus_dir / "ckpt" / "train_log.jsonl")
         assert log
         for entry in log:
             assert entry["wall_s"] > 0
@@ -337,13 +345,13 @@ class TestTrainingCommands:
             _pretrain(corpus_dir, epochs="2")
         assert not [w for w in caught if "no dev set" in str(w.message)]
         assert capsys.readouterr().err == ""
-        manifest = json.load(open(corpus_dir / "ckpt" / "manifest.json"))
+        manifest = _read_json(corpus_dir / "ckpt" / "manifest.json")
         assert manifest["selected"] == {"by": "final", "epoch": 2}
 
         _pretrain(corpus_dir, out="dev", epochs="2", extra=["--dev", str(corpus_dir / "test.jsonl")])
-        log = [json.loads(l) for l in open(corpus_dir / "dev" / "train_log.jsonl")]
+        log = _read_jsonl(corpus_dir / "dev" / "train_log.jsonl")
         scores = [e["dev_rouge1"] for e in log if "epoch" in e]
-        selected = json.load(open(corpus_dir / "dev" / "manifest.json"))["selected"]
+        selected = _read_json(corpus_dir / "dev" / "manifest.json")["selected"]
         assert selected == {"by": "dev_rouge1", "epoch": scores.index(max(scores)) + 1}
 
     def test_failed_log_write_keeps_earlier_log(self, tmp_path):
@@ -361,7 +369,7 @@ class TestTrainingCommands:
         _build_pseudo(corpus_dir)
         ckpt = _pretrain(corpus_dir, out="untrained", epochs="0")
         assert os.path.exists(ckpt)
-        assert open(corpus_dir / "untrained" / "train_log.jsonl").read() == ""
+        assert (corpus_dir / "untrained" / "train_log.jsonl").read_text() == ""
 
     def test_pretrain_backbone_then_prompts(self, corpus_dir):
         rc = dispatch([
@@ -430,11 +438,11 @@ class TestEvalCommands:
             "--out", str(corpus_dir / "eval"),
         ])
         assert rc == 0
-        report = json.load(open(corpus_dir / "eval" / "report.json"))
+        report = _read_json(corpus_dir / "eval" / "report.json")
         assert report["n_examples"] == 2
         assert 0.0 <= report["r1_f1"] <= 1.0
         assert report["ppl"] > 0
-        preds = open(corpus_dir / "eval" / "predictions.jsonl").read().splitlines()
+        preds = (corpus_dir / "eval" / "predictions.jsonl").read_text().splitlines()
         assert len(preds) == 2
         assert "text" in json.loads(preds[0])
 
@@ -450,7 +458,7 @@ class TestEvalCommands:
                 "--out", str(tmp_path / "eval"),
             ])
         assert rc == 0
-        report = json.load(open(tmp_path / "eval" / "report.json"))
+        report = _read_json(tmp_path / "eval" / "report.json")
         assert (report["n_examples"], report["n_skipped"]) == (2, 1)
 
     def test_generate_writes_predictions(self, corpus_dir, checkpoint):
@@ -461,7 +469,7 @@ class TestEvalCommands:
             "--out", str(corpus_dir / "gen"),
         ])
         assert rc == 0
-        preds = open(corpus_dir / "gen" / "predictions.jsonl").read().splitlines()
+        preds = (corpus_dir / "gen" / "predictions.jsonl").read_text().splitlines()
         assert len(preds) == 4
 
     def test_vocab_mismatch_rejected(self, corpus_dir, checkpoint, tmp_path, capsys):
@@ -504,7 +512,8 @@ class TestEvalCommands:
             "--out", str(corpus_dir / "probe"),
         ])
         assert rc == 0
-        header = json.loads(open(corpus_dir / "probe" / "attention.txt").readline())
+        with open(corpus_dir / "probe" / "attention.txt") as fh:
+            header = json.loads(fh.readline())
         assert header["len_de"] == 4
         assert header["len_en"] == 4
         matrix = np.loadtxt(corpus_dir / "probe" / "attention.txt", skiprows=1)
@@ -538,7 +547,7 @@ class TestAblate:
             "--out", str(corpus_dir / "ablate"),
         ])
         assert rc == 0
-        rows = json.load(open(corpus_dir / "ablate" / "ablation.json"))
+        rows = _read_json(corpus_dir / "ablate" / "ablation.json")
         variants = [r["variant"] for r in rows]
         assert variants[:4] == [
             "placement=encoder_only", "placement=decoder_only", "placement=both", "shared",
@@ -546,7 +555,7 @@ class TestAblate:
         assert "strategy=interval" in variants
         assert "fixed_k k=5" in variants and "fixed_k k=10" in variants
         assert len(rows) == 10
-        tsv = open(corpus_dir / "ablate" / "ablation.tsv").read().splitlines()
+        tsv = (corpus_dir / "ablate" / "ablation.tsv").read_text().splitlines()
         assert tsv[0].split("\t") == ["variant", "r1_f1", "r2_f1", "rl_f1", "trainable_params"]
         assert len(tsv) == 11
         # shared halves the prompt-pair parameters relative to placement=both

@@ -144,7 +144,7 @@ class TestEvaluateRouge:
         report, records = evaluate(backbone, prompts, config, test, beam=2, max_len=4)
         path = tmp_path / "predictions.jsonl"
         write_predictions(path, records)
-        reloaded = [json.loads(line) for line in open(path)]
+        reloaded = [json.loads(line) for line in path.read_text().splitlines()]
         rescored = []
         for rec, pair in zip(reloaded, test):
             cand = [t for t in rec["token_ids"] if t != EOS_ID]
@@ -211,7 +211,8 @@ class TestAttentionExport:
         pair = make_pair(make_doc([4]), [5])
         path = tmp_path / "attention.txt"
         export_attention(backbone, prompts, config, pair, path)
-        header = json.loads(open(path).readline())
+        with open(path) as fh:
+            header = json.loads(fh.readline())
         assert header["len_de"] == 1
         assert header["len_en"] == 2
         assert header["rows"] == 1 + 1 + 2
