@@ -117,9 +117,14 @@ _OPTIONAL_KEY_TYPES = {
     "mode": str, "backbone_seed": int, "pretrain_warmup_steps": int, "finetune_warmup_ratio": float
 }
 
+# The training settings each stage has its own keys for: ``--epochs`` sets
+# ``pretrain_epochs`` or ``finetune_epochs``, by the command's stage.
+_STAGE_KEYS = ("epochs", "peak_lr", "warmup_steps", "warmup_ratio")
 
-def resolve_config(args) -> dict:
-    """Shipped defaults, then the ``--config`` file, then each given flag whose dest is a key."""
+
+def resolve_config(args, command: _Command) -> dict:
+    """Shipped defaults, then the ``--config`` file, then the flags and the mode the command
+    fixes. The manifest records the result: the settings the run uses."""
     cfg = shipped_defaults()
     types = {key: type(value) for key, value in cfg.items()} | _OPTIONAL_KEY_TYPES
     if getattr(args, "config", None):
@@ -130,12 +135,30 @@ def resolve_config(args) -> dict:
             if want and type(value) is not want and not (want is float and type(value) is int):
                 raise CliError(f"{args.config}: {key} must be {want.__name__}, got {value!r}")
             _check_seed(key, value, f"{args.config}: {key}")
-        cfg.update(overlay)
-    for key, value in vars(args).items():
+        _overlay(cfg, overlay, {key: key for key in overlay}, f"{args.config}: ")
+    flags = {"mode": command.mode} if command.mode else {}
+    names = {}
+    for dest, value in vars(args).items():
+        key = f"{command.stage}_{dest}" if dest in _STAGE_KEYS else dest
         if key in types and value is not None:
-            _check_seed(key, value, "--" + key.replace("_", "-"))
-            cfg[key] = value
+            flags[key], names[key] = value, "--" + dest.replace("_", "-")
+            _check_seed(key, value, names[key])
+    _overlay(cfg, flags, names)
     return cfg
+
+
+def _overlay(cfg: dict, layer: dict, names: dict, where: str = "") -> None:
+    """``layer`` over ``cfg``; ``names`` gives the name of each of its keys in the config
+    file or on the command line. A layer that sets one of a stage's warmup keys drops
+    the other from the layers below."""
+    for stage in ("pretrain", "finetune"):
+        warmup = (f"{stage}_warmup_steps", f"{stage}_warmup_ratio")
+        if all(key in layer for key in warmup):
+            raise CliError(f"{where}give one of {names[warmup[0]]} and {names[warmup[1]]}, not both")
+        if any(key in layer for key in warmup):
+            for key in warmup:
+                cfg.pop(key, None)
+    cfg.update(layer)
 
 
 def _check_seed(key: str, value, source: str) -> None:
@@ -255,7 +278,7 @@ def _backbone_from_args(args, cfg: dict, vocab: Vocab):
 
 def _prompt_config(cfg: dict, docs: list[Document]) -> PromptConfig:
     strategy = cfg["strategy"]
-    n_max = cfg.get("n_max") or 0
+    n_max = cfg["n_max"]
     if n_max < 1 and strategy in ("sequential", "fixed_k"):
         unit = "sentence" if strategy == "sequential" else "span_k"
         n_max = compute_n_max(docs, percentile=cfg["percentile"], unit=unit, k=cfg["k"])
@@ -265,33 +288,15 @@ def _prompt_config(cfg: dict, docs: list[Document]) -> PromptConfig:
         strategy=strategy,
         k=cfg["k"],
         n_max=max(1, n_max),
-        shared=bool(cfg.get("shared", False)),
+        shared=cfg["shared"],
     )
 
 
-def _train_config(cfg: dict, args, stage: str) -> TrainConfig:
-    peak = args.peak_lr if args.peak_lr is not None else cfg[f"{stage}_peak_lr"]
-    epochs = args.epochs if args.epochs is not None else cfg[f"{stage}_epochs"]
-    if args.warmup_steps is not None:
-        warmup_steps, warmup_ratio = args.warmup_steps, None
-    elif args.warmup_ratio is not None:
-        warmup_steps, warmup_ratio = None, args.warmup_ratio
-    elif f"{stage}_warmup_steps" in cfg:
-        warmup_steps, warmup_ratio = cfg[f"{stage}_warmup_steps"], None
-    else:
-        warmup_steps, warmup_ratio = None, cfg[f"{stage}_warmup_ratio"]
-    return TrainConfig(
-        mode=cfg.get("mode", "prompt_only"),
-        peak_lr=peak,
-        warmup_steps=warmup_steps,
-        warmup_ratio=warmup_ratio,
-        epochs=epochs,
-        batch=cfg["batch"],
-        grad_accum=cfg["grad_accum"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        seed=cfg["seed"],
-    )
+def _train_config(cfg: dict, stage: str) -> TrainConfig:
+    """The stage's settings; ``resolve_config`` leaves one of its two warmup keys."""
+    stage_keys = {key: cfg.get(f"{stage}_{key}") for key in _STAGE_KEYS}
+    shared = {key: cfg[key] for key in ("batch", "grad_accum", "beta1", "beta2", "seed")}
+    return TrainConfig(mode=cfg.get("mode", "prompt_only"), **stage_keys, **shared)
 
 
 def _used(pool: list, chosen) -> list[tuple[int, SummaryPair]]:
@@ -300,13 +305,10 @@ def _used(pool: list, chosen) -> list[tuple[int, SummaryPair]]:
     return [(i, pair) for i, pair in enumerate(pool) if id(pair) in ids]
 
 
-def _train(args, cfg: dict, stage: str, prompts, backbone, train: list, dev: list):
-    tc = _train_config(cfg, args, stage)
-    # Without a dev set run_stage warns that it keeps the final prompts; the
-    # manifest's "selected" records that instead, so stderr stays clean.
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "no dev set", UserWarning)
-        return run_stage(stage, train, dev, init_train_state(prompts, backbone, tc), backbone, tc)
+def _train(args, cfg: dict, prompts, backbone, train: list, dev: list):
+    stage = _COMMANDS[args.command].stage
+    tc = _train_config(cfg, stage)
+    return run_stage(stage, train, dev, init_train_state(prompts, backbone, tc), backbone, tc)
 
 
 def _save_trained(args, backbone, state, what: str, run: dict) -> None:
@@ -431,7 +433,7 @@ def cmd_pretrain_backbone(args, cfg: dict, run: dict) -> None:
     config = PromptConfig(len_en=0, len_de=0, strategy="none")
     check_lengths(enumerate(data), config, backbone.dims.max_pos, "--data")
     prompts = init_prompts(config, backbone, cfg["seed"])
-    state = _train(args, cfg, "pretrain", prompts, backbone, data, [])
+    state = _train(args, cfg, prompts, backbone, data, [])
     _save_trained(args, backbone, state, "pretrained backbone", run)
 
 
@@ -444,7 +446,7 @@ def cmd_pretrain_prompts(args, cfg: dict, run: dict) -> None:
     check_lengths(enumerate(data), config, backbone.dims.max_pos, "--data")
     check_lengths(enumerate(dev), config, backbone.dims.max_pos, "--dev")
     prompts = init_prompts(config, backbone, cfg["seed"])
-    state = _train(args, cfg, "pretrain", prompts, backbone, data, dev)
+    state = _train(args, cfg, prompts, backbone, data, dev)
     _save_trained(args, backbone, state, "pretrained prompts", run)
 
 
@@ -463,7 +465,7 @@ def cmd_finetune(args, cfg: dict, run: dict) -> None:
         split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
         train, dev = list(split.train), list(split.dev)
         check_lengths(_used(pairs, train + dev), prompts.config, max_pos, "--data")
-    state = _train(args, cfg, "finetune", prompts, backbone, train, dev)
+    state = _train(args, cfg, prompts, backbone, train, dev)
     _save_trained(args, backbone, state, "finetuned", run)
 
 
@@ -541,16 +543,9 @@ def cmd_ablate(args, cfg: dict, run: dict) -> None:
     train_docs = [p.document for p in split.train]
 
     k_sweep = tuple((f"fixed_k k={k}", {"strategy": "fixed_k", "k": k}) for k in args.k_grid or ())
+    placed = dict.fromkeys(("shared", "encoder_only", "decoder_only"), False)
     variants = [
-        (
-            name,
-            replace(
-                _prompt_config({**cfg, **overrides}, train_docs),
-                shared=overrides.get("shared", False),
-                encoder_only=overrides.get("encoder_only", False),
-                decoder_only=overrides.get("decoder_only", False),
-            ),
-        )
+        (name, replace(_prompt_config({**cfg, **overrides}, train_docs), **{**placed, **overrides}))
         for name, overrides in _ABLATION_VARIANTS + k_sweep
     ]
     used = _used(pairs, split.train + split.dev)
@@ -558,22 +553,23 @@ def cmd_ablate(args, cfg: dict, run: dict) -> None:
         check_lengths(used, config, backbone.dims.max_pos, "--data")
         check_decode_lengths(backbone, config, cfg["max_len"], cfg["beam"])
 
+    # Variants of one prompt config (placement=both and strategy=none; a k-grid value
+    # equal to k) train once, each from the backbone as built: full_model tunes it.
+    reports = {}
     rows = []
     for name, config in variants:
-        prompts = init_prompts(config, backbone, cfg["seed"])
-        state = _train(args, cfg, "finetune", prompts, backbone, list(split.train), list(split.dev))
-        report, _ = evaluate(
-            backbone, state.prompts, config, list(split.dev), cfg["beam"], cfg["max_len"]
-        )
-        rows.append(
-            {
-                "variant": name,
-                "r1_f1": report.r1_f1,
-                "r2_f1": report.r2_f1,
-                "rl_f1": report.rl_f1,
-                "trainable_params": count_trainable_params(config, backbone.dims.d),
-            }
-        )
+        if config not in reports:
+            backbone = _backbone_from_args(args, cfg, vocab)
+            prompts = init_prompts(config, backbone, cfg["seed"])
+            state = _train(args, cfg, prompts, backbone, list(split.train), list(split.dev))
+            reports[config], _ = evaluate(
+                backbone, state.prompts, config, list(split.dev), cfg["beam"], cfg["max_len"]
+            )
+        report = reports[config]
+        rows.append({
+            "variant": name, "r1_f1": report.r1_f1, "r2_f1": report.r2_f1, "rl_f1": report.rl_f1,
+            "trainable_params": count_trainable_params(config, backbone.dims.d),
+        })
         print(f"{name}: r1={report.r1_f1:.4f}")
 
     with atomic_open(os.path.join(args.out, "ablation.tsv")) as fh:
@@ -622,8 +618,8 @@ _PROMPT_FLAGS = (
     _flag("--shared", action=argparse.BooleanOptionalAction, default=None),
     _flag("--percentile", type=float),
 )
+_MODE = _flag("--mode", choices=["prompt_only", "full_model"])
 _TRAIN_FLAGS = (
-    _flag("--mode", choices=["prompt_only", "full_model"]),
     _flag("--epochs", type=int),
     _flag("--peak-lr", type=float),
     _flag("--warmup-steps", type=int),
@@ -644,6 +640,7 @@ class _Command(NamedTuple):
     flags: tuple  # after the common flags, in help order
     check: Callable[[argparse.Namespace], None] | None = None  # before --out is created
     mode: str | None = None  # training mode the command fixes in the config
+    stage: str | None = None  # the stage of its training keys and of run_stage
 
 
 # Dests of the flags that name an input file; the manifest records every
@@ -676,16 +673,17 @@ _COMMANDS = {
     "pretrain-backbone": _Command(
         "full-model training of the toy backbone", cmd_pretrain_backbone, _TRAINED,
         (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_TRAIN_FLAGS, _DATA),
-        mode="full_model",
+        mode="full_model", stage="pretrain",
     ),
     "pretrain-prompts": _Command(
         "prompt-only training on pseudo pairs", cmd_pretrain_prompts, _TRAINED,
         (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_PROMPT_FLAGS, *_TRAIN_FLAGS, _DATA, _flag("--dev")),
-        mode="prompt_only",
+        mode="prompt_only", stage="pretrain",
     ),
     "finetune": _Command(
         "few-shot tuning from a checkpoint", cmd_finetune, _TRAINED,
-        (*_VOCAB_FLAGS, *_TRAIN_FLAGS, _CHECKPOINT, _flag("--data"), _FEWSHOT_SIZE, _flag("--train"), _flag("--dev")),
+        (*_VOCAB_FLAGS, _MODE, *_TRAIN_FLAGS, _CHECKPOINT, _flag("--data"), _FEWSHOT_SIZE, _flag("--train"), _flag("--dev")),
+        stage="finetune",
     ),
     "generate": _Command(
         "decode summaries for a dataset", cmd_generate, ("predictions.jsonl",),
@@ -706,7 +704,8 @@ _COMMANDS = {
     ),
     "ablate": _Command(
         "prompt placement / strategy comparison grid", cmd_ablate, ("ablation.tsv", "ablation.json"),
-        (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_PROMPT_FLAGS, *_TRAIN_FLAGS, *_DECODE_FLAGS, _DATA, _FEWSHOT_SIZE, _K_GRID),
+        (*_VOCAB_FLAGS, *_MODEL_FLAGS, *_PROMPT_FLAGS, _MODE, *_TRAIN_FLAGS, *_DECODE_FLAGS, _DATA, _FEWSHOT_SIZE, _K_GRID),
+        stage="finetune",
     ),
 }
 
@@ -734,13 +733,14 @@ def dispatch(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command = _COMMANDS[args.command]
-        cfg = resolve_config(args)
-        if command.mode:
-            cfg["mode"] = command.mode
+        cfg = resolve_config(args, command)
         if command.check:
             command.check(args)
         inputs = {dest: getattr(args, dest) for dest in _INPUTS if hasattr(args, dest)}
-        with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:
+        # The manifest counts the skipped records and records which prompts a run
+        # kept, so the library's warnings of both stay off stderr.
+        with warnings.catch_warnings(), _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:
+            warnings.filterwarnings("ignore", r"no dev set|.*: skipped \d+ records", UserWarning)
             command.handler(args, cfg, run)
     except SystemExit as exc:  # --help; argument errors raise CliError instead
         return int(exc.code) if exc.code else 0

@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior: manifests, locking, errors, and outputs."""
 
+import itertools
 import json
 import os
 
@@ -9,6 +10,7 @@ import pytest
 from promptsum import cli
 from promptsum.cli import dispatch, load_config_file, shipped_defaults
 from promptsum.corpus import load_dataset, load_vocab
+from promptsum.model import ModelDims, PromptConfig, init_backbone, init_prompts, save_checkpoint
 
 from conftest import make_lead_corpus, write_jsonl
 
@@ -276,13 +278,15 @@ class TestBuildPseudo:
         assert stats["n_output"] <= stats["n_built"]
 
 
-    def test_fewshot_skipped_records_counted(self, corpus_dir):
+    def test_fewshot_skipped_records_counted(self, corpus_dir, capsys):
         records = make_lead_corpus(4, seed=1) + [{"document": "A cat sat. A dog ran.", "summary": ""}]
         write_jsonl(corpus_dir / "fewshot.jsonl", records)
-        with pytest.warns(UserWarning, match="skipped 1"):
-            _build_pseudo(corpus_dir, extra=["--fewshot", str(corpus_dir / "fewshot.jsonl")])
+        capsys.readouterr()
+        _build_pseudo(corpus_dir, extra=["--fewshot", str(corpus_dir / "fewshot.jsonl")])
+        assert capsys.readouterr().err == ""  # the count is in the outputs, not a warning
         stats = _read_json(corpus_dir / "pseudo" / "stats.json")
         assert stats["n_fewshot_skipped"] == 1
+        assert _read_json(corpus_dir / "pseudo" / "manifest.json")["n_skipped"] == {"fewshot": 1}
         _build_pseudo(corpus_dir)
         assert _read_json(corpus_dir / "pseudo" / "stats.json")["n_fewshot_skipped"] is None
 
@@ -447,19 +451,21 @@ class TestEvalCommands:
         assert "text" in json.loads(preds[0])
 
     @pytest.mark.parametrize("command", ["evaluate", "zero-shot"])
-    def test_report_counts_skipped_records(self, corpus_dir, checkpoint, tmp_path, command):
+    def test_report_counts_skipped_records(self, corpus_dir, checkpoint, tmp_path, command, capsys):
         data = tmp_path / "with_empty.jsonl"
         write_jsonl(data, make_lead_corpus(2, seed=9) + [{"document": "", "summary": "A cat sat."}])
-        with pytest.warns(UserWarning, match="skipped 1"):
-            rc = dispatch([
-                command, "--checkpoint", checkpoint,
-                "--data", str(data), "--vocab", _vocab(corpus_dir),
-                "--beam", "1", "--max-len", "4",
-                "--out", str(tmp_path / "eval"),
-            ])
+        capsys.readouterr()
+        rc = dispatch([
+            command, "--checkpoint", checkpoint,
+            "--data", str(data), "--vocab", _vocab(corpus_dir),
+            "--beam", "1", "--max-len", "4",
+            "--out", str(tmp_path / "eval"),
+        ])
         assert rc == 0
+        assert capsys.readouterr().err == ""
         report = _read_json(tmp_path / "eval" / "report.json")
         assert (report["n_examples"], report["n_skipped"]) == (2, 1)
+        assert _read_json(tmp_path / "eval" / "manifest.json")["n_skipped"] == {"data": 1}
 
     def test_generate_writes_predictions(self, corpus_dir, checkpoint):
         rc = dispatch([
@@ -531,22 +537,26 @@ class TestEvalCommands:
         assert "out of range" in capsys.readouterr().err
 
 
+def _ablate(corpus_dir, extra=()):
+    return dispatch([
+        "ablate",
+        "--data", str(corpus_dir / "train.jsonl"), "--vocab", _vocab(corpus_dir),
+        *TINY_MODEL,
+        "--prompt-len-en", "3", "--prompt-len-de", "3",
+        "--fewshot-size", "2",
+        "--epochs", "1", "--batch", "2", "--grad-accum", "1",
+        "--peak-lr", "1e-2", "--warmup-steps", "2",
+        "--beam", "1", "--max-len", "4",
+        "--k-grid", "5,10",
+        "--seed", "2",
+        "--out", str(corpus_dir / "ablate"),
+        *extra,
+    ])
+
+
 class TestAblate:
     def test_grid_rows(self, corpus_dir):
-        rc = dispatch([
-            "ablate",
-            "--data", str(corpus_dir / "train.jsonl"), "--vocab", _vocab(corpus_dir),
-            *TINY_MODEL,
-            "--prompt-len-en", "3", "--prompt-len-de", "3",
-            "--fewshot-size", "2",
-            "--epochs", "1", "--batch", "2", "--grad-accum", "1",
-            "--peak-lr", "1e-2", "--warmup-steps", "2",
-            "--beam", "1", "--max-len", "4",
-            "--k-grid", "5,10",
-            "--seed", "2",
-            "--out", str(corpus_dir / "ablate"),
-        ])
-        assert rc == 0
+        assert _ablate(corpus_dir) == 0
         rows = _read_json(corpus_dir / "ablate" / "ablation.json")
         variants = [r["variant"] for r in rows]
         assert variants[:4] == [
@@ -561,6 +571,148 @@ class TestAblate:
         # shared halves the prompt-pair parameters relative to placement=both
         by_name = {r["variant"]: r for r in rows}
         assert by_name["shared"]["trainable_params"] * 2 == by_name["placement=both"]["trainable_params"]
+
+    def test_full_model_variants_start_from_one_backbone(self, corpus_dir, monkeypatch):
+        starts = []
+        real = cli.run_stage
+
+        def spy(stage, data, dev, state, backbone, config):
+            starts.append(backbone.checksum())
+            return real(stage, data, dev, state, backbone, config)
+
+        monkeypatch.setattr(cli, "run_stage", spy)
+        assert _ablate(corpus_dir, ["--mode", "full_model"]) == 0
+        # Ten rows, eight prompt configs: placement=both is strategy=none, and
+        # "fixed_k k=10" is strategy=fixed_k at the default k of 10.
+        assert len(starts) == 8
+        assert len(set(starts)) == 1
+        rows = _read_json(corpus_dir / "ablate" / "ablation.json")
+        scores = {r["variant"]: (r["r1_f1"], r["r2_f1"], r["rl_f1"]) for r in rows}
+        assert scores["placement=both"] == scores["strategy=none"]
+
+
+class TestStageSettings:
+    """Flags, the --config file and the shipped defaults meet in resolve_config: a
+    training flag sets its command's stage keys, and run_stage trains with them."""
+
+    @pytest.fixture
+    def run(self, corpus_dir, monkeypatch):
+        """Runs a training command with run_stage stubbed out; gives the exit code,
+        the (stage, TrainConfig) of every run_stage call and the manifest's config."""
+        seen = []
+
+        def stub(stage, data, dev, state, backbone, config):
+            seen.append((stage, config))
+            return state
+
+        monkeypatch.setattr(cli, "run_stage", stub)
+        vocab = load_vocab(_vocab(corpus_dir))
+        backbone = init_backbone(ModelDims(d=16, layers=1, heads=2, ffn=24, vocab=len(vocab), max_pos=96), seed=0)
+        ckpt = str(corpus_dir / "ckpt.npz")
+        save_checkpoint(ckpt, backbone, init_prompts(PromptConfig(len_en=4, len_de=4, strategy="none"), backbone, 0))
+        extra = {
+            "pretrain-backbone": TINY_MODEL,
+            "pretrain-prompts": TINY_MODEL + TINY_PROMPTS,
+            "finetune": ["--checkpoint", ckpt, "--fewshot-size", "2"],
+            "ablate": TINY_MODEL + TINY_PROMPTS + ["--fewshot-size", "2", "--beam", "1", "--max-len", "4"],
+        }
+
+        runs = itertools.count()
+
+        def run(command, *flags):
+            seen.clear()
+            out = corpus_dir / f"out{next(runs)}"
+            rc = dispatch([
+                command, "--data", str(corpus_dir / "train.jsonl"), "--vocab", _vocab(corpus_dir),
+                *extra[command], *flags, "--out", str(out),
+            ])
+            config = _read_json(out / "manifest.json")["config"] if out.exists() else None
+            return rc, list(seen), config
+
+        return run
+
+    @pytest.mark.parametrize(
+        "command, stage",
+        [
+            ("pretrain-backbone", "pretrain"), ("pretrain-prompts", "pretrain"),
+            ("finetune", "finetune"), ("ablate", "finetune"),
+        ],
+    )
+    @pytest.mark.parametrize("warmup", [("--warmup-steps", "4"), ("--warmup-ratio", "0.3")])
+    def test_each_training_flag_reaches_run_stage(self, run, command, stage, warmup):
+        rc, seen, config = run(
+            command, "--epochs", "3", "--peak-lr", "0.02", *warmup, "--batch", "3", "--grad-accum", "2", "--seed", "5",
+        )
+        assert rc == 0 and seen
+        steps, ratio = (4, None) if warmup[0] == "--warmup-steps" else (None, 0.3)
+        for got, tc in seen:
+            assert got == stage
+            assert (tc.epochs, tc.peak_lr, tc.warmup_steps, tc.warmup_ratio) == (3, 0.02, steps, ratio)
+            assert (tc.batch, tc.grad_accum, tc.seed) == (3, 2, 5)
+        assert (config[f"{stage}_epochs"], config[f"{stage}_peak_lr"]) == (3, 0.02)
+
+    def test_manifest_records_the_stage_settings(self, run):
+        rc, seen, config = run("pretrain-prompts", "--epochs", "7", "--warmup-steps", "5")
+        assert rc == 0
+        assert (config["pretrain_epochs"], config["pretrain_warmup_steps"]) == (7, 5)
+        assert "pretrain_warmup_ratio" not in config
+        # The other stage keeps its defaults.
+        assert (config["finetune_epochs"], config["finetune_warmup_steps"]) == (400, 100)
+        [(_, tc)] = seen
+        assert (tc.epochs, tc.warmup_steps, tc.warmup_ratio) == (7, 5, None)
+
+    @pytest.mark.parametrize(
+        "lines, flags, kept",
+        [
+            ("finetune_warmup_ratio = 0.25", [], {"ratio": 0.25}),
+            ("finetune_warmup_ratio = 0.25", ["--warmup-steps", "3"], {"steps": 3}),
+            ("finetune_warmup_steps = 7", [], {"steps": 7}),
+            ("finetune_warmup_steps = 7", ["--warmup-ratio", "0.5"], {"ratio": 0.5}),
+            ("pretrain_warmup_steps = 7", [], {"steps": 100}),  # another stage's key
+        ],
+    )
+    def test_a_layer_setting_one_warmup_drops_the_other(self, run, tmp_path, lines, flags, kept):
+        (tmp_path / "run.cfg").write_text(lines + "\n")
+        rc, seen, config = run("finetune", "--config", str(tmp_path / "run.cfg"), *flags)
+        assert rc == 0
+        [(_, tc)] = seen
+        assert (tc.warmup_steps, tc.warmup_ratio) == (kept.get("steps"), kept.get("ratio"))
+        prefix = "finetune_warmup_"
+        assert {key.removeprefix(prefix): value for key, value in config.items() if key.startswith(prefix)} == kept
+
+    @pytest.mark.parametrize(
+        "lines, flags, named",
+        [
+            (None, ["--warmup-steps", "2", "--warmup-ratio", "0.1"], "error: give one of --warmup-steps and --warmup-ratio"),
+            (
+                "finetune_warmup_steps = 2\nfinetune_warmup_ratio = 0.1", [],
+                "run.cfg: give one of finetune_warmup_steps and finetune_warmup_ratio",
+            ),
+        ],
+        ids=["flags", "config"],
+    )
+    def test_both_warmups_in_one_layer_is_one_error_line(self, run, tmp_path, capsys, lines, flags, named):
+        if lines:
+            (tmp_path / "run.cfg").write_text(lines + "\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        capsys.readouterr()
+        rc, seen, config = run("finetune", *flags)
+        assert rc == 1 and not seen
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{named}, not both" in err
+        assert config is None  # refused before the output directory is made
+
+    def test_pretrain_commands_fix_their_mode(self, run, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("mode = full_model\n")
+        expected = {"pretrain-prompts": "prompt_only", "pretrain-backbone": "full_model", "finetune": "full_model"}
+        for command, mode in expected.items():
+            rc, seen, config = run(command, "--config", str(tmp_path / "run.cfg"))
+            assert rc == 0, command
+            assert seen[0][1].mode == config["mode"] == mode, command
+        rc, _, _ = run("pretrain-prompts", "--mode", "full_model")
+        assert rc == 1
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 class TestDataErrors:

@@ -313,11 +313,12 @@ def test_help_still_exits_zero(capsys):
     assert out.startswith("usage: promptsum generate") and "--checkpoint CHECKPOINT" in out
 
 
-def test_manifest_counts_skipped_records(setup):
+def test_manifest_counts_skipped_records(setup, capsys):
     records = make_lead_corpus(2, seed=1) + [{"document": "", "summary": "A cat."}]
     write_jsonl(setup / "data.jsonl", records)
-    with pytest.warns(UserWarning, match="skipped 1"):
-        assert _run(setup, "generate", setup / "ckpt.npz", ["--max-len", "4"]) == 0
+    capsys.readouterr()
+    assert _run(setup, "generate", setup / "ckpt.npz", ["--max-len", "4"]) == 0
+    assert capsys.readouterr().err == ""
     manifest = json.loads((setup / "out" / "manifest.json").read_text())
     assert manifest["n_skipped"] == {"data": 1}
 
