@@ -3,9 +3,10 @@
 A small tape-based engine: every operation whose inputs require a gradient
 records its parent tensors and a backward closure, and ``Tensor.backward()``
 walks the recorded graph in reverse topological order. Inside ``no_grad()``
-no operation records anything, so inference builds no tape. ``attention`` is
-one fused op for softmax attention that works in place on a single score
-buffer. All arithmetic runs in float64 so that gradients can be checked
+no operation records anything, so inference builds no tape. ``linear`` is
+one node for ``x @ w + b``, and ``attention`` one fused node for multi-head
+softmax attention over rows, which works in place on a single score buffer.
+All arithmetic runs in float64 so that gradients can be checked
 against central finite differences and training runs are bitwise
 reproducible.
 """
@@ -196,6 +197,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one tape node, the bias added in place; ``w`` is [d_in, d_out]."""
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def backward(g):
+        return (
+            _unbroadcast(g @ w.data.T, x.data.shape) if x.requires_grad else None,
+            _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape) if w.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return _result(out_data, (x, w, b), backward)
+
+
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(axes.index(i) for i in range(len(axes)))
 
@@ -264,19 +280,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
-    out_data = xhat * gamma.data + beta.data
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     lead_axes = tuple(range(out_data.ndim - 1))
 
     def backward(g):
         dx = None
         if x.requires_grad:
-            dxhat = g * gamma.data
-            dx = inv_std * (
-                dxhat
-                - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
-                - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
-            )
+            # inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in place.
+            dx = g * gamma.data
+            mean_dxhat = np.add.reduce(dx, axis=-1, keepdims=True) / n
+            t = dx * xhat
+            np.multiply(xhat, np.add.reduce(t, axis=-1, keepdims=True) / n, out=t)
+            dx -= mean_dxhat
+            dx -= t
+            dx *= inv_std
         dgamma = (g * xhat).sum(axis=lead_axes) if gamma.requires_grad else None
         dbeta = g.sum(axis=lead_axes) if beta.requires_grad else None
         return dx, dgamma, dbeta
@@ -294,66 +313,145 @@ def gelu(x: Tensor) -> Tensor:
     hundred times slower, and the two differ by at most one unit in the last
     place.
     """
-    u = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out_data = 0.5 * x.data * (1.0 + t)
+    # In place, the products and sums of tanh(C * (x + 0.044715 x³)) and
+    # 0.5 x (1 + t) in their usual order.
+    t = x.data * x.data
+    t *= x.data
+    t *= 0.044715
+    t += x.data
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = 0.5 * x.data
+    out_data *= 1.0 + t
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x.data**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        return (g * dx,)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t²) C (1 + 3 * 0.044715 x²)), in place.
+        du = x.data * x.data
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        dx = 0.5 * x.data
+        dx *= 1.0 - t * t
+        dx *= du
+        dx += 0.5 * (1.0 + t)
+        dx *= g
+        return (dx,)
 
     return _result(out_data, (x,), backward)
+
+
+def _heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """[..., t, d] rows as a [..., heads, t, d // heads] view."""
+    return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -3, -2)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The inverse of ``_heads``: [..., heads, t, dh] as [..., t, heads * dh] rows."""
+    return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
+
+
+# The attention backward works on the score gradients of as many heads at a
+# time as fit in this many bytes, so that the block stays in a core's L2
+# cache beside the same heads of e. One head of 300 x 300 scores is 720 KB,
+# four of them 2.9 MB.
+_BLOCK_BYTES = 512 * 1024
+
+# exp overflows past 709.78 and leaves the normal range below -708.4.
+_EXP_BOUND = 700.0
+
+
+def _max_sq_norm(a: np.ndarray) -> np.ndarray:
+    """The largest squared L2 norm of a row (last axis) of the [..., heads, t, d]
+    array ``a``, over its heads and rows: one value per batch row."""
+    return np.einsum("...i,...i->...", a, a).max(axis=(-2, -1))
 
 
 def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
+    heads: int,
     scale: float,
     mask: np.ndarray | None = None,
     capture: list[np.ndarray] | None = None,
 ) -> Tensor:
-    """``softmax(q @ kᵀ * scale + mask) @ v`` over the last two axes.
+    """Multi-head ``softmax(q @ kᵀ * scale + mask) @ v`` over [..., t, d] rows.
 
-    Leading (batch) axes broadcast as in ``matmul``. No pass over the
-    ``[t_q, t_k]`` score buffer goes to a constant or to a normalisation:
-    ``scale`` multiplies ``q`` forward and ``gq``/``gk`` backward, and the
-    unnormalised ``e = exp(s - max)`` is kept, with its row sums ``z``
-    dividing the ``[t_q, d]`` products ``e @ v`` and ``g`` instead. The
-    softmax backward's row sums ``Σ_j p_ij (g_i·v_j)`` are taken as
-    ``g_i·out_i``, which they equal. A normalised copy of the probabilities
+    ``q`` is [..., t_q, d] and ``k``/``v`` are [..., t_k, d]; leading (batch)
+    axes broadcast as in ``matmul``. Head ``h`` takes the ``d // heads``
+    columns from ``h * d // heads`` of each row: the op splits the rows into
+    heads and merges the output rows back as NumPy views, so the tape holds
+    one node.
+    No pass over a ``[t_q, t_k]`` score block goes to a constant or to a
+    normalisation: ``scale`` multiplies ``q`` forward and ``gq``/``gk``
+    backward, and the unnormalised ``e = exp(s - m)`` is kept, with its row
+    sums ``z`` dividing the products ``e @ v`` and ``g`` instead. The shift
+    ``m`` is the row max only when an ``exp`` could overflow or underflow:
+    when ``max‖q_i·scale‖ · max‖k_j‖`` (over every head of a batch row)
+    reaches 700, or for a single query row; otherwise it is 0 and the max
+    pass is skipped.
+    ``mask`` entries are 0 or a large negative number. The softmax
+    backward's row sums ``Σ_j p_ij (g_i·v_j)`` are taken as ``g_i·out_i``,
+    which they equal. The backward runs on as many heads at a time as fit
+    in ``_BLOCK_BYTES`` (one head of a long input): each block of ``e`` gives
+    the value gradient and then scales that block's score gradients, held in
+    one reused buffer, while both are in cache. A normalised copy of the probabilities, [..., heads, t_q, t_k],
     is appended to ``capture`` when one is given. The results agree with the
-    chain ``matmul``, ``scale``, ``add``, softmax, ``matmul`` up to rounding,
-    not bit for bit.
+    chain ``matmul``, ``scale``, ``add``, softmax, ``matmul`` per head up to
+    rounding, not bit for bit.
     """
-    kt = np.swapaxes(k.data, -1, -2)
-    e = (q.data * scale) @ kt
+    qh, kh, vh = _heads(q.data, heads), _heads(k.data, heads), _heads(v.data, heads)
+    kt = np.swapaxes(kh, -1, -2)
+    qs = qh * scale
+    e = qs @ kt
     if mask is not None:
         e += mask
-    e -= e.max(axis=-1, keepdims=True)
+    # |s_ij| <= |q_i·scale| |k_j|: below the bound every unmasked exp lies in
+    # (e^-700, e^700), so the row max need not be found. The bound is taken
+    # per batch row, so that no row's result depends on the others in the
+    # call. A single query row costs less to shift than to check.
+    shift = True if e.shape[-2] == 1 else _max_sq_norm(qs) * _max_sq_norm(kh) >= _EXP_BOUND**2
+    if np.all(shift):
+        e -= e.max(axis=-1, keepdims=True)
+    elif np.any(shift):
+        e[shift] -= e[shift].max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
     if capture is not None:
         capture.append(e / z)
-    out_data = e @ v.data
-    out_data /= z
+    out_h = e @ vh
+    out_h /= z
 
     def backward(g):
-        gn = g / z
-        gv = _unbroadcast(np.swapaxes(e, -1, -2) @ gn, v.data.shape) if v.requires_grad else None
-        # Softmax backward in place on one fresh buffer: (gn·v_j - gn·out) * e.
-        gs = gn @ np.swapaxes(v.data, -1, -2)
-        gs -= np.einsum("...id,...id->...i", gn, out_data)[..., None]
-        gs = _unbroadcast(gs, e.shape)
-        gs *= e
-        gq = _unbroadcast(gs @ k.data, q.data.shape) * scale if q.requires_grad else None
-        gk = None
-        if k.requires_grad:
-            gk = np.swapaxes(_unbroadcast(np.swapaxes(q.data, -1, -2) @ gs, kt.shape), -1, -2) * scale
-        return gq, gk, gv
+        gn = _heads(g, heads) / z
+        gn_out = np.einsum("...id,...id->...i", gn, out_h)[..., None]
+        vt = np.swapaxes(vh, -1, -2)
+        # Filled one block of heads at a time, then summed over broadcast axes.
+        gq = np.empty(out_h.shape) if q.requires_grad else None
+        gk = np.empty(e.shape[:-2] + kt.shape[-2:]) if k.requires_grad else None
+        gv = np.empty(out_h.shape[:-2] + vh.shape[-2:]) if v.requires_grad else None
+        step = max(1, _BLOCK_BYTES // (e.nbytes // heads))
+        gs = np.empty(e.shape[:-3] + (min(step, heads),) + e.shape[-2:])
+        for h in range(0, heads, step):
+            hs = (..., slice(h, h + step), slice(None), slice(None))
+            block = gs[..., : min(step, heads - h), :, :]
+            if gv is not None:
+                np.matmul(np.swapaxes(e[hs], -1, -2), gn[hs], out=gv[hs])
+            # Softmax backward in place on the reused buffer: (gn·v_j - gn·out) * e.
+            np.matmul(gn[hs], vt[hs], out=block)
+            block -= gn_out[hs]
+            block *= e[hs]
+            if gq is not None:
+                np.matmul(block, kh[hs], out=gq[hs])
+            if gk is not None:
+                np.matmul(np.swapaxes(qh[hs], -1, -2), block, out=gk[hs])
+        return (
+            _rows(_unbroadcast(gq, qh.shape) * scale) if gq is not None else None,
+            _rows(np.swapaxes(_unbroadcast(gk, kt.shape), -1, -2) * scale) if gk is not None else None,
+            _rows(_unbroadcast(gv, vh.shape)) if gv is not None else None,
+        )
 
-    return _result(out_data, (q, k, v), backward)
+    return _result(_rows(out_h), (q, k, v), backward)
 
 
 def cross_entropy_sum(
@@ -378,16 +476,19 @@ def cross_entropy_sum(
     n = int(mask.sum())
 
     m = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - m)
-    lse = m[:, 0] + np.log(e.sum(axis=-1))
+    e = logits.data - m
+    np.exp(e, out=e)
+    z = e.sum(axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(z[:, 0])
     rows = np.arange(targets.shape[0])
     nll = lse - logits.data[rows, targets]
     out_data = np.array(nll[mask].sum())
 
     def backward(g):
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = e / z
         p[rows, targets] -= 1.0
         p[~mask] = 0.0
-        return (p * g,)
+        p *= g
+        return (p,)
 
     return _result(out_data, (logits,), backward), n

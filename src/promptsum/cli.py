@@ -568,7 +568,9 @@ def cmd_ablate(args, cfg: dict, run: dict) -> None:
         report = reports[config]
         rows.append({
             "variant": name, "r1_f1": report.r1_f1, "r2_f1": report.r2_f1, "rl_f1": report.rl_f1,
-            "trainable_params": count_trainable_params(config, backbone.dims.d),
+            "trainable_params": count_trainable_params(
+                config, backbone.dims.d, cfg.get("mode", "prompt_only"), backbone
+            ),
         })
         print(f"{name}: r1={report.r1_f1:.4f}")
 

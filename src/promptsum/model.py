@@ -184,13 +184,6 @@ class PromptSet:
             out["prompts/P_in"] = self.p_in
         return out
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_tensors().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for name, t in self.named_tensors().items():
-            t.data[...] = snap[name]
-
 
 @dataclass(frozen=True)
 class AttentionRecord:
@@ -222,11 +215,11 @@ KV = tuple[Tensor, Tensor]
 class DecoderCache:
     """Decoder key/value rows of one document, held without an autodiff tape.
 
-    ``cross`` holds each layer's cross-attention K/V of the encoder memory,
-    projected and split into heads on first use. ``ids`` is the [B, t] batch
-    of target prefixes of the last cached ``decode_logits`` call, and
-    ``self_kv`` each layer's self-attention K/V over their rows
-    [P_de ; BOS ; prefix], as [B, rows, d] arrays.
+    ``cross`` holds each layer's cross-attention K/V rows of the encoder
+    memory, projected on first use. ``ids`` is the [B, t] batch of target
+    prefixes of the last cached ``decode_logits`` call, and ``self_kv`` each
+    layer's self-attention K/V over their rows [P_de ; BOS ; prefix], as
+    [B, rows, d] arrays.
     """
 
     cross: list[KV] | None = None
@@ -399,27 +392,11 @@ def assign_inner_prompts(doc: Document, config: PromptConfig) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.add(ad.matmul(x, w), b)
-
-
 def _project_kv(kv_in: Tensor, params: dict[str, Tensor], prefix: str) -> KV:
-    """Key and value rows of ``kv_in``, before the split into heads."""
-    k = _linear(kv_in, params[f"{prefix}/Wk"], params[f"{prefix}/bk"])
-    v = _linear(kv_in, params[f"{prefix}/Wv"], params[f"{prefix}/bv"])
+    """Key and value rows of ``kv_in``."""
+    k = ad.linear(kv_in, params[f"{prefix}/Wk"], params[f"{prefix}/bk"])
+    v = ad.linear(kv_in, params[f"{prefix}/Wv"], params[f"{prefix}/bv"])
     return k, v
-
-
-def _swap_axes(x: Tensor, a: int, b: int) -> Tensor:
-    """``x`` with axes ``a`` and ``b`` swapped; any axes before them are kept."""
-    axes = list(range(x.data.ndim))
-    axes[a], axes[b] = axes[b], axes[a]
-    return ad.transpose(x, tuple(axes))
-
-
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """[..., t, d] -> [..., heads, t, d // heads]."""
-    return _swap_axes(ad.reshape(x, x.data.shape[:-1] + (heads, x.data.shape[-1] // heads)), -3, -2)
 
 
 def _attention(
@@ -437,36 +414,15 @@ def _attention(
     Axes before the last two are batch axes. ``k``/``v`` carry the same ones,
     or none, in which case every batch row attends to the same keys.
     """
-    k_heads, v_heads = _split_kv((k, v), heads)
-    return _attend(q_in, k_heads, v_heads, params, prefix, heads, mask, capture)
-
-
-def _split_kv(kv: KV, heads: int) -> KV:
-    """Projected key and value rows, each split into heads."""
-    return _split_heads(kv[0], heads), _split_heads(kv[1], heads)
-
-
-def _attend(
-    q_in: Tensor,
-    k_heads: Tensor,
-    v_heads: Tensor,
-    params: dict[str, Tensor],
-    prefix: str,
-    heads: int,
-    mask: np.ndarray | None = None,
-    capture: list[np.ndarray] | None = None,
-) -> Tensor:
-    """``_attention`` over K/V already split into heads, as ``_split_kv`` gives them."""
     dh = q_in.data.shape[-1] // heads
-    q = _split_heads(_linear(q_in, params[f"{prefix}/Wq"], params[f"{prefix}/bq"]), heads)
-    out = ad.attention(q, k_heads, v_heads, 1.0 / math.sqrt(dh), mask, capture)
-    out = ad.reshape(_swap_axes(out, -3, -2), q_in.data.shape)
-    return _linear(out, params[f"{prefix}/Wo"], params[f"{prefix}/bo"])
+    q = ad.linear(q_in, params[f"{prefix}/Wq"], params[f"{prefix}/bq"])
+    out = ad.attention(q, k, v, heads, 1.0 / math.sqrt(dh), mask, capture)
+    return ad.linear(out, params[f"{prefix}/Wo"], params[f"{prefix}/bo"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    h = ad.gelu(_linear(x, params[f"{prefix}/W1"], params[f"{prefix}/b1"]))
-    return _linear(h, params[f"{prefix}/W2"], params[f"{prefix}/b2"])
+    h = ad.gelu(ad.linear(x, params[f"{prefix}/W1"], params[f"{prefix}/b1"]))
+    return ad.linear(h, params[f"{prefix}/W2"], params[f"{prefix}/b2"])
 
 
 def _causal_mask(t: int, start: int = 0) -> np.ndarray:
@@ -541,12 +497,9 @@ def _gather_past(cached: np.ndarray, parent: np.ndarray, rows: int) -> np.ndarra
 
 
 def _cross_kv(backbone: BackboneParams, enc: EncodedSource) -> list[KV]:
-    """Each decoder layer's cross-attention K/V of the encoder memory, split into heads."""
+    """Each decoder layer's cross-attention K/V rows of the encoder memory."""
     p = backbone.params
-    return [
-        _split_kv(_project_kv(enc.memory, p, f"dec{i}/cross"), backbone.dims.heads)
-        for i in range(backbone.dims.layers)
-    ]
+    return [_project_kv(enc.memory, p, f"dec{i}/cross") for i in range(backbone.dims.layers)]
 
 
 def decode_logits(
@@ -557,6 +510,7 @@ def decode_logits(
     tgt_prefix,
     capture_attention: bool = False,
     cache: DecoderCache | None = None,
+    project: bool = True,
 ) -> tuple[Tensor, list[np.ndarray] | None]:
     """Run the decoder on [P_de ; BOS ; tgt_prefix].
 
@@ -580,6 +534,10 @@ def decode_logits(
     other rows share the call. The call's prefixes and K/V then replace
     the cached ones, and the call records no autodiff tape. A batch that
     does not extend the last call raises ``ValueError``.
+
+    ``project=False`` returns the final layer-norm rows in place of the
+    logits, so that a caller can project the rows of several calls at once
+    (see ``vocab_logits``).
     """
     dims = backbone.dims
     p = backbone.params
@@ -637,7 +595,7 @@ def decode_logits(
             x = ad.add(x, _attention(h, k, v, p, f"dec{i}/self", dims.heads, mask=mask))
             h = ad.layer_norm(x, p[f"dec{i}/ln2/gamma"], p[f"dec{i}/ln2/beta"])
             ck, cv = cross[i]
-            x = ad.add(x, _attend(h, ck, cv, p, f"dec{i}/cross", dims.heads, capture=capture))
+            x = ad.add(x, _attention(h, ck, cv, p, f"dec{i}/cross", dims.heads, capture=capture))
             h = ad.layer_norm(x, p[f"dec{i}/ln3/gamma"], p[f"dec{i}/ln3/beta"])
             x = ad.add(x, _ffn(h, p, f"dec{i}/ffn"))
         x = ad.layer_norm(x, p["dec/ln/gamma"], p["dec/ln/beta"])
@@ -648,8 +606,12 @@ def decode_logits(
 
         if cut:
             x = ad.slice_rows(x, cut, t_dec - start)
-        logits = ad.matmul(x, ad.transpose(backbone.embed, (1, 0)))
-        return logits, capture
+        return (vocab_logits(backbone, x) if project else x), capture
+
+
+def vocab_logits(backbone: BackboneParams, x: Tensor) -> Tensor:
+    """Scores of rows ``x`` over the vocabulary, through the tied embedding."""
+    return ad.matmul(x, ad.transpose(backbone.embed, (1, 0)))
 
 
 def forward(

@@ -25,6 +25,7 @@ from .model import (
     check_rows,
     decode_logits,
     encode_source,
+    vocab_logits,
 )
 from .rouge import rouge_n_f1
 
@@ -123,32 +124,24 @@ def noam_lr(step: int, warmup_steps: int, peak_lr: float) -> float:
     return peak_lr * min(step / warmup_steps, math.sqrt(warmup_steps / step))
 
 
-def _pair_loss(
-    backbone: BackboneParams, prompts: PromptSet, pconfig: PromptConfig, pair: SummaryPair
-) -> tuple[Tensor, int]:
-    """Summed NLL of the summary tokens (teacher forcing), and the token count."""
-    enc = encode_source(backbone, prompts, pconfig, pair.document)
-    logits, _ = decode_logits(backbone, prompts, pconfig, enc, pair.summary[:-1])
-    return ad.cross_entropy_sum(logits, np.asarray(pair.summary), ignore_id=PAD_ID)
-
-
 def batch_mean_nll(
     backbone: BackboneParams,
     prompts: PromptSet,
     pconfig: PromptConfig,
     batch: list[SummaryPair],
 ) -> tuple[Tensor, int]:
-    """Token-weighted mean NLL over a batch of pairs."""
-    totals = []
-    n_tokens = 0
+    """Token-weighted mean NLL over a batch of pairs (teacher forcing), and the
+    token count. The decoder rows of every pair go through one vocabulary
+    projection and one ``cross_entropy_sum``."""
+    rows = []
     for pair in batch:
-        total, n = _pair_loss(backbone, prompts, pconfig, pair)
-        totals.append(total)
-        n_tokens += n
-    summed = totals[0]
-    for t in totals[1:]:
-        summed = ad.add(summed, t)
-    return ad.scale(summed, 1.0 / n_tokens), n_tokens
+        enc = encode_source(backbone, prompts, pconfig, pair.document)
+        x, _ = decode_logits(backbone, prompts, pconfig, enc, pair.summary[:-1], project=False)
+        rows.append(x)
+    targets = np.concatenate([pair.summary for pair in batch])
+    logits = vocab_logits(backbone, ad.concat_rows(rows))
+    total, n_tokens = ad.cross_entropy_sum(logits, targets, ignore_id=PAD_ID)
+    return ad.scale(total, 1.0 / n_tokens), n_tokens
 
 
 def check_lengths(
@@ -253,12 +246,13 @@ def grad_check(
     backbone: BackboneParams,
     prompts: PromptSet,
     config: PromptConfig,
-    pair: SummaryPair,
+    pair: SummaryPair | list[SummaryPair],
     epsilon: float = 1e-4,
     n_coords: int = 50,
     seed: int = 0,
 ) -> float:
-    """Max relative error between analytic and central-difference prompt gradients.
+    """Max relative error between analytic and central-difference prompt gradients
+    of ``batch_mean_nll`` on one pair or on a micro-batch of pairs.
 
     Checks at least n_coords random coordinates of every prompt tensor (all of
     them for small tensors). The numeric side uses the fourth-order central
@@ -266,16 +260,15 @@ def grad_check(
     coordinates whose gradient is orders of magnitude smaller than the local
     curvature.
     """
+    batch = pair if isinstance(pair, list) else [pair]
 
     def loss_value() -> float:
-        loss, n = _pair_loss(backbone, prompts, config, pair)
-        return float(loss.data) / n
+        return float(batch_mean_nll(backbone, prompts, config, batch)[0].data)
 
     tensors = prompts.named_tensors()
     for t in tensors.values():
         t.zero_grad()
-    loss, n = _pair_loss(backbone, prompts, config, pair)
-    ad.scale(loss, 1.0 / n).backward()
+    batch_mean_nll(backbone, prompts, config, batch)[0].backward()
     analytic = {
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in tensors.items()
@@ -331,9 +324,10 @@ def run_stage(
 
     After each epoch the dev set is greedy-decoded and scored with ROUGE-1 F1,
     which is appended to ``loss_history`` as ``{"epoch": n, "dev_rouge1": x}``;
-    the prompts from the best epoch are restored into the returned state. With
-    no dev set the final checkpoint is returned with a warning. Either way
-    ``state.selected`` records the choice.
+    every trainable tensor (the prompts, and the backbone in ``full_model``
+    mode) is restored to its value at the best epoch. With no dev set the
+    final checkpoint is returned with a warning. Either way ``state.selected``
+    records the choice.
     """
     if stage not in ("pretrain", "finetune"):
         raise ValueError(f"unknown stage {stage!r}")
@@ -355,6 +349,7 @@ def run_stage(
         warmup = max(1, round(config.warmup_ratio * config.epochs * steps_per_epoch))
     step_config = replace(config, warmup_steps=warmup, warmup_ratio=None)
 
+    tensors = trainable_tensors(backbone, state.prompts, config.mode)
     rng = np.random.default_rng(config.seed)
     best_score = -np.inf
     best_snap: dict[str, np.ndarray] | None = None
@@ -370,10 +365,11 @@ def run_stage(
             state.loss_history.append({"epoch": epoch, "dev_rouge1": score})
             if score > best_score:
                 best_score, best_epoch = score, epoch
-                best_snap = state.prompts.snapshot()
+                best_snap = {name: t.data.copy() for name, t in tensors.items()}
 
     if best_snap is not None:
-        state.prompts.restore(best_snap)
+        for name, t in tensors.items():
+            t.data[...] = best_snap[name]
     elif not dev:
         warnings.warn("no dev set; returning the final checkpoint")
     state.selected = {"by": "dev_rouge1" if best_snap is not None else "final", "epoch": best_epoch}

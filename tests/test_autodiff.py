@@ -69,6 +69,27 @@ def test_matmul_gradients_with_a_broadcast_operand():
     _check_op(lambda a, b: _total(ad.matmul(a, b)), (4, 3), (2, 3, 2))
 
 
+def test_linear_gradients():
+    _check_op(lambda x, w, b: _total(ad.linear(x, w, b)), (3, 4), (4, 5), (5,))
+    _check_op(lambda x, w, b: _total(ad.linear(x, w, b)), (2, 3, 4), (4, 5), (5,))
+
+
+def test_linear_is_the_matmul_add_chain_bit_for_bit():
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=s) for s in ((2, 3, 4), (4, 5), (5,))]
+    g = rng.normal(size=(2, 3, 5))
+
+    def run(op):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves)
+        _total(ad.mul(out, Tensor(g))).backward()
+        return [out.data] + [t.grad for t in leaves]
+
+    got = run(ad.linear)
+    want = run(lambda x, w, b: ad.add(ad.matmul(x, w), b))
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_transpose_reshape_gradients():
     _check_op(lambda a: _total(ad.transpose(a, (1, 0, 2))), (2, 3, 4))
     _check_op(lambda a: _total(ad.reshape(a, (6, 2))), (3, 4))
@@ -223,7 +244,7 @@ def test_no_grad_records_no_tape():
         made = [ad.add(x, x), ad.mul(x, x), ad.scale(x, 2.0), ad.matmul(x, w)]
         made += [ad.transpose(x, (1, 0, 2)), ad.reshape(x, (6, 4)), ad.concat_rows([x, x])]
         made += [ad.slice_rows(x, 0, 2), ad.take_rows(w, [0, 0, 3]), ad.gelu(x)]
-        made += [ad.layer_norm(x, ones, ones), ad.attention(x, x, x, 0.5)]
+        made += [ad.layer_norm(x, ones, ones), ad.attention(x, x, x, 2, 0.5), ad.linear(x, w, ones)]
         made += [ad.cross_entropy_sum(w, [0, 1, 2, 3])[0], Tensor(np.ones(2), requires_grad=True)]
     for t in made:
         assert t._parents == () and t._backward is None
@@ -274,17 +295,29 @@ def _softmax(x: Tensor) -> Tensor:
     return Tensor(p, x.requires_grad, (x,), backward)
 
 
-def _unfused_attention(q, k, v, scale, mask=None, capture=None):
-    """matmul, scale, mask add, softmax, matmul: one tape node each."""
-    axes = list(range(k.data.ndim))
-    axes[-2], axes[-1] = axes[-1], axes[-2]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, tuple(axes))), scale)
+def _swapped(ndim: int, a: int, b: int) -> tuple[int, ...]:
+    axes = list(range(ndim))
+    axes[a], axes[b] = axes[b], axes[a]
+    return tuple(axes)
+
+
+def _unfused_attention(q, k, v, heads, scale, mask=None, capture=None):
+    """Split into heads, matmul, scale, mask add, softmax, matmul and merge the
+    heads: one tape node each, as the model ran attention before the fused op."""
+
+    def split(x):
+        x = ad.reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
+        return ad.transpose(x, _swapped(x.data.ndim, -3, -2))
+
+    q, k, v = split(q), split(k), split(v)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, _swapped(k.data.ndim, -1, -2))), scale)
     if mask is not None:
         scores = ad.add(scores, mask)
     probs = _softmax(scores)
     if capture is not None:
         capture.append(probs.data.copy())
-    return ad.matmul(probs, v)
+    out = ad.transpose(ad.matmul(probs, v), _swapped(probs.data.ndim, -3, -2))
+    return ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
 
 
 def test_softmax_rows_sum_to_one_and_gradient():
@@ -297,11 +330,12 @@ def test_softmax_rows_sum_to_one_and_gradient():
 
 @st.composite
 def _attention_cases(draw):
-    """Shapes, a mask and which operands need a gradient, for one call.
+    """Row shapes, heads, a mask, which operands need a gradient and whether
+    q and k pass the exp bound, for one call.
 
-    ``batch`` puts a leading axis on q only or on q, k and v. A causal mask
-    covers query rows start..t-1 over key rows 0..t-1, as a cached decoder
-    call uses it.
+    ``batch`` puts a leading axis on q only (K/V broadcast) or on q, k and v.
+    A causal mask covers query rows start..t-1 over key rows 0..t-1, as a
+    cached decoder call uses it.
     """
     heads, dh = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     keys = draw(st.integers(1, 6))
@@ -313,16 +347,23 @@ def _attention_cases(draw):
         queries, mask = draw(st.integers(1, 5)), None
     batch = draw(st.sampled_from(["none", "q", "qkv"]))
     lead = (draw(st.integers(1, 3)),) if batch != "none" else ()
-    q_shape = lead + (heads, queries, dh)
     kv_lead = lead if batch == "qkv" else ()
-    shapes = (q_shape, kv_lead + (heads, keys, dh), kv_lead + (heads, keys, dh))
+    d = heads * dh
+    shapes = (lead + (queries, d), kv_lead + (keys, d), kv_lead + (keys, d))
     grads = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any))
-    return shapes, mask, grads, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    past_bound = dh > 1 and draw(st.booleans())
+    return shapes, heads, mask, grads, past_bound, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def _head_norms(x: np.ndarray, heads: int) -> np.ndarray:
+    return np.linalg.norm(x.reshape(x.shape[:-1] + (heads, -1)), axis=-1)
 
 
 # The fused op scales q rather than the scores, divides e @ v rather than e,
-# and takes the softmax backward's row sums as g·out. Each reorders rounding
-# only: over 600 random cases the worst difference was 1.5e-15 of 1 + max|ref|.
+# takes the softmax backward's row sums as g·out and shifts the scores by
+# their row max only near the exp bound. Each reorders rounding only: over
+# 1500 random cases the worst difference was 1.5e-15 of 1 + max|ref|, and
+# 2.9e-14 where q and k pass the bound (c of about 30 scales the rounding).
 _ATTENTION_TOL = 1e-13
 
 
@@ -334,15 +375,25 @@ def _assert_close(got: np.ndarray, ref: np.ndarray) -> None:
 @settings(max_examples=150, deadline=None)
 @given(_attention_cases())
 def test_attention_matches_the_unfused_chain(case):
-    shapes, mask, grads, capture, seed = case
+    shapes, heads, mask, grads, past_bound, capture, seed = case
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=s) for s in shapes]
-    scale = 1.0 / np.sqrt(shapes[0][-1])
+    scale = 1.0 / np.sqrt(shapes[0][-1] // heads)
+    if past_bound:
+        # In every head, q's first column and k's second are set to c and the
+        # other side's to 0: max|q_i·scale| · max|k_j| passes 700, where the op
+        # shifts by the exact row max, and the scores keep their drawn size.
+        c = np.sqrt(rng.uniform(700, 800) / scale)
+        for x, (big, zero) in zip(arrays[:2], ((0, 1), (1, 0))):
+            cols = x.reshape(x.shape[:-1] + (heads, -1))
+            cols[..., big] = c
+            cols[..., zero] = 0.0
+        assert scale * _head_norms(arrays[0], heads).max() * _head_norms(arrays[1], heads).max() >= 700
 
     def run(op):
         leaves = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, grads)]
         probs = [] if capture else None
-        out = op(*leaves, scale, mask, probs)
+        out = op(*leaves, heads, scale, mask, probs)
         weights = Tensor(np.random.default_rng(seed).normal(size=out.shape))
         _total(ad.mul(out, weights)).backward()
         return out, leaves, probs
@@ -359,16 +410,39 @@ def test_attention_matches_the_unfused_chain(case):
         _assert_close(probs[0], ref_probs[0])
         np.testing.assert_allclose(probs[0].sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
+    # The backward's blocks of heads change no bit: here all heads share one
+    # block, and with a 1-byte budget each head has its own.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "_BLOCK_BYTES", 1)
+        one_out, one_leaves, _ = run(ad.attention)
+    assert one_out.data.tobytes() == out.data.tobytes()
+    for leaf, one in zip(leaves, one_leaves):
+        assert (leaf.grad is None and one.grad is None) or leaf.grad.tobytes() == one.grad.tobytes()
+
+
+@pytest.mark.parametrize("shared_kv", [False, True], ids=["own K/V", "shared K/V"])
+def test_a_batch_row_past_the_exp_bound_leaves_the_other_rows_bitwise(shared_kv):
+    rng = np.random.default_rng(3)
+    q = rng.normal(size=(2, 3, 8))
+    q[1] *= 300.0  # row 1 passes the bound, row 0 stays far below it
+    kv_shape = (4, 8) if shared_kv else (2, 4, 8)
+    k, v = rng.normal(size=kv_shape), rng.normal(size=kv_shape)
+    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.5)
+    for b in range(2):
+        kb, vb = (k, v) if shared_kv else (k[b], v[b])
+        row = ad.attention(Tensor(q[b]), Tensor(kb), Tensor(vb), 2, 0.5)
+        assert out.data[b].tobytes() == row.data.tobytes()
+
 
 @pytest.mark.parametrize(
     "shapes, start",
     [
-        (((2, 3, 3), (2, 4, 3), (2, 4, 3)), None),
-        (((2, 2, 1, 3), (2, 4, 3), (2, 4, 3)), None),
-        (((2, 2, 2, 3), (2, 2, 4, 3), (2, 2, 4, 3)), 2),
+        (((3, 6), (4, 6), (4, 6)), None),
+        (((2, 1, 6), (4, 6), (4, 6)), None),
+        (((2, 2, 6), (2, 4, 6), (2, 4, 6)), 2),
     ],
     ids=["no batch", "batch on q", "batch on qkv, causal"],
 )
 def test_attention_gradient(shapes, start):
     mask = None if start is None else _causal_mask(shapes[1][-2], start)
-    _check_op(lambda q, k, v: _total(ad.attention(q, k, v, 0.7, mask)), *shapes, atol=1e-4)
+    _check_op(lambda q, k, v: _total(ad.attention(q, k, v, 2, 0.7, mask)), *shapes, atol=1e-4)

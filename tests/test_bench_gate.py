@@ -3,9 +3,9 @@
 ``perfbench/run.py`` compares every operation of a run with
 ``perfbench/reference/`` (losses within ``LOSS_RTOL``, token ids and ROUGE
 exact, perplexity within ``PPL_RTOL``). This runs the first operations of
-seed 0 through the workload's own ``check`` and ``compare``, so a kernel
-change that drifts past that gate fails here in seconds, not only in a
-40-second benchmark run. The workload module is imported as it is, and
+seed 0, and of held-out seed 7, through the workload's own ``check`` and
+``compare``, so a kernel change that drifts past that gate fails here in
+seconds, not only in a 40-second benchmark run. The workload module is imported as it is, and
 nothing is written under ``perfbench/``.
 """
 
@@ -34,11 +34,19 @@ def workloads():
         yield _load("workloads")
 
 
-@pytest.mark.parametrize("name, n_ops", [("train", 6), ("generate", 4)])
-def test_first_operations_match_the_stored_reference(workloads, tmp_path, name, n_ops):
+@pytest.mark.parametrize(
+    "name, n_ops, seed",
+    [
+        pytest.param("train", 6, 0, id="train-6"),
+        pytest.param("generate", 4, 0, id="generate-4"),
+        pytest.param("train", 3, 7, id="train-3-seed7"),
+        pytest.param("generate", 3, 7, id="generate-3-seed7"),
+    ],
+)
+def test_first_operations_match_the_stored_reference(workloads, tmp_path, name, n_ops, seed):
     with open(BENCH / "reference" / f"{name}.json", encoding="utf-8") as fh:
-        reference = json.load(fh)["seeds"]["0"]
-    w = workloads.WORKLOADS[name](str(tmp_path), 0)
+        reference = json.load(fh)["seeds"][str(seed)]
+    w = workloads.WORKLOADS[name](str(tmp_path), seed)
     w.write_inputs()
     w.setup()
     for i in range(n_ops):

@@ -10,7 +10,10 @@ import pytest
 from promptsum import cli
 from promptsum.cli import dispatch, load_config_file, shipped_defaults
 from promptsum.corpus import load_dataset, load_vocab
-from promptsum.model import ModelDims, PromptConfig, init_backbone, init_prompts, save_checkpoint
+from promptsum.model import (
+    ModelDims, PromptConfig, init_backbone, init_prompts, load_checkpoint, save_checkpoint,
+)
+from promptsum.training import _dev_rouge1
 
 from conftest import make_lead_corpus, write_jsonl
 
@@ -426,6 +429,34 @@ class TestTrainingCommands:
         assert rc == 0
 
 
+    def test_full_model_checkpoint_is_the_best_dev_epoch(self, corpus_dir):
+        # The backbone trains too, so it is restored to the best dev epoch
+        # with the prompts: the checkpoint re-scores to that epoch's ROUGE-1.
+        _build_pseudo(corpus_dir)
+        ckpt = _pretrain(corpus_dir, epochs="1")
+        dev = str(corpus_dir / "test.jsonl")
+        rc = dispatch([
+            "finetune", "--mode", "full_model",
+            "--checkpoint", ckpt,
+            "--train", str(corpus_dir / "train.jsonl"), "--dev", dev,
+            "--vocab", _vocab(corpus_dir),
+            "--epochs", "6", "--batch", "4", "--grad-accum", "1",
+            "--peak-lr", "0.02", "--warmup-steps", "2", "--seed", "1",
+            "--out", str(corpus_dir / "ft_full"),
+        ])
+        assert rc == 0
+        log = _read_jsonl(corpus_dir / "ft_full" / "train_log.jsonl")
+        scores = {e["epoch"]: e["dev_rouge1"] for e in log if "epoch" in e}
+        selected = _read_json(corpus_dir / "ft_full" / "manifest.json")["selected"]
+        assert selected["by"] == "dev_rouge1"
+        # A later epoch moved the backbone on, so a backbone left at the last
+        # epoch would score differently.
+        assert selected["epoch"] < max(scores)
+        backbone, prompts = load_checkpoint(corpus_dir / "ft_full" / "checkpoint.npz")
+        pairs = load_dataset(dev, load_vocab(_vocab(corpus_dir)))
+        assert _dev_rouge1(backbone, prompts, prompts.config, list(pairs)) == scores[selected["epoch"]]
+
+
 class TestEvalCommands:
     @pytest.fixture
     def checkpoint(self, corpus_dir):
@@ -589,6 +620,25 @@ class TestAblate:
         rows = _read_json(corpus_dir / "ablate" / "ablation.json")
         scores = {r["variant"]: (r["r1_f1"], r["r2_f1"], r["rl_f1"]) for r in rows}
         assert scores["placement=both"] == scores["strategy=none"]
+
+
+    def test_full_model_rows_count_the_backbone(self, corpus_dir, monkeypatch):
+        sizes = set()
+        real = cli.run_stage
+
+        def spy(stage, data, dev, state, backbone, config):
+            sizes.add(backbone.size())
+            return real(stage, data, dev, state, backbone, config)
+
+        monkeypatch.setattr(cli, "run_stage", spy)
+        assert _ablate(corpus_dir, ["--mode", "full_model", "--out", str(corpus_dir / "full")]) == 0
+        assert _ablate(corpus_dir) == 0
+        (size,) = sizes
+        full = _read_json(corpus_dir / "full" / "ablation.json")
+        prompt_only = _read_json(corpus_dir / "ablate" / "ablation.json")
+        assert [r["variant"] for r in full] == [r["variant"] for r in prompt_only]
+        for f, p in zip(full, prompt_only):
+            assert f["trainable_params"] == size + p["trainable_params"], f["variant"]
 
 
 class TestStageSettings:
