@@ -49,6 +49,7 @@ from .corpus import (
 from .decoding import _check_lengths as check_decode_lengths
 from .evaluation import evaluate, export_attention, generate_predictions, write_predictions
 from .model import (
+    STRATEGIES,
     ModelDims,
     PromptConfig,
     check_rows,
@@ -67,7 +68,7 @@ from .pseudodata import (
     compute_filter_threshold,
     filter_pseudo,
 )
-from .training import TrainConfig, TrainingDivergedError, check_lengths, init_train_state, run_stage
+from .training import MODES, TrainConfig, TrainingDivergedError, check_lengths, init_train_state, run_stage
 
 
 class CliError(ValueError):
@@ -614,13 +615,13 @@ _MODEL_FLAGS = (
 _PROMPT_FLAGS = (
     _flag("--prompt-len-en", type=int),
     _flag("--prompt-len-de", type=int),
-    _flag("--strategy", choices=["none", "interval", "sequential", "fixed_k"]),
+    _flag("--strategy", choices=STRATEGIES),
     _flag("--k", type=int),
     _flag("--n-max", type=int),
     _flag("--shared", action=argparse.BooleanOptionalAction, default=None),
     _flag("--percentile", type=float),
 )
-_MODE = _flag("--mode", choices=["prompt_only", "full_model"])
+_MODE = _flag("--mode", choices=MODES)
 _TRAIN_FLAGS = (
     _flag("--epochs", type=int),
     _flag("--peak-lr", type=float),
@@ -749,6 +750,9 @@ def dispatch(argv=None) -> int:
     # CliError and the corpus, config and checkpoint errors are all ValueErrors.
     except (ValueError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # NumPy's names the allocation that failed
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     return 0
 

@@ -29,6 +29,7 @@ from .model import (
     check_rows,
     decode_logits,
     encode_source,
+    teacher_forced_logits,
 )
 
 
@@ -186,13 +187,8 @@ def sequence_logprob(
     src: Document,
     ids,
 ) -> float:
-    """Cumulative log-probability of ``ids`` under the prompted model."""
-    ids = list(ids)
-    if not ids:
-        raise ValueError("cannot score an empty sequence")
-    enc = encode_source(backbone, prompts, config, src)
-    logits, _ = decode_logits(backbone, prompts, config, enc, ids[:-1])
-    total = 0.0
-    for t, token in enumerate(ids):
-        total += float(_log_softmax(logits.data[t])[token])
-    return total
+    """Cumulative log-probability of ``ids`` under the prompted model, every
+    id counted (PAD and BOS included), from one ``teacher_forced_logits`` pass."""
+    logits, targets = teacher_forced_logits(backbone, prompts, config, [(src, ids)])
+    total, _ = ad.cross_entropy_sum(logits, targets)
+    return -float(total.data)

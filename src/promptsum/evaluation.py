@@ -22,9 +22,11 @@ from .model import (
     PromptConfig,
     PromptSet,
     check_rows,
+    # Unused here, but perfbench/spans.py wraps both at this import site too.
     decode_logits,
     encode_source,
     forward,
+    teacher_forced_logits,
 )
 from .rouge import rouge_score
 
@@ -95,19 +97,11 @@ def perplexity(
     config: PromptConfig,
     pairs: list[tuple[Document, list[int]]],
 ) -> float:
-    """exp(mean per-token NLL) of generated summaries, over all tokens of all pairs."""
-    total_nll = 0.0
-    total_tokens = 0
-    for doc, gen in pairs:
-        gen = list(gen)
-        if not gen:
-            raise ValueError("generated summary is empty")
-        enc = encode_source(backbone, prompts, config, doc)
-        logits, _ = decode_logits(backbone, prompts, config, enc, gen[:-1])
-        loss, n = ad.cross_entropy_sum(logits, np.asarray(gen))
-        total_nll += float(loss.data)
-        total_tokens += n
-    return math.exp(total_nll / total_tokens)
+    """exp(mean per-token NLL) of generated summaries, over all tokens of all
+    pairs (PAD and BOS ids included), from one ``teacher_forced_logits`` pass."""
+    logits, targets = teacher_forced_logits(backbone, prompts, config, pairs)
+    total, n_tokens = ad.cross_entropy_sum(logits, targets)
+    return math.exp(float(total.data) / n_tokens)
 
 
 def evaluate(

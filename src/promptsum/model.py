@@ -92,6 +92,11 @@ class PromptConfig:
             raise ConfigError("shared prompts require len_en == len_de")
 
     @property
+    def shares_prompt(self) -> bool:
+        """P_de is P_en itself: ``shared``, with both prompts placed."""
+        return self.shared and not self.encoder_only and not self.decoder_only
+
+    @property
     def effective_len_en(self) -> int:
         return 0 if self.decoder_only else self.len_en
 
@@ -312,9 +317,9 @@ def init_prompts(config: PromptConfig, backbone: BackboneParams, seed: int) -> P
     dims = backbone.dims
     embed = backbone.embed.data
 
-    def vocab_rows(n: int) -> np.ndarray:
+    def vocab_rows(n: int) -> Tensor:
         if n == 0:
-            return np.zeros((0, dims.d))
+            return Tensor(np.zeros((0, dims.d)))
         if n <= dims.vocab:
             idx = rng.choice(dims.vocab, size=n, replace=False)
         else:
@@ -322,15 +327,10 @@ def init_prompts(config: PromptConfig, backbone: BackboneParams, seed: int) -> P
                 f"prompt length {n} exceeds vocab {dims.vocab}; sampling with replacement"
             )
             idx = rng.choice(dims.vocab, size=n, replace=True)
-        return embed[idx].copy()
+        return Tensor(embed[idx].copy(), requires_grad=True)
 
-    p_en = Tensor(vocab_rows(config.effective_len_en), requires_grad=config.effective_len_en > 0)
-    if config.shared and not config.encoder_only and not config.decoder_only:
-        p_de = p_en
-    else:
-        p_de = Tensor(
-            vocab_rows(config.effective_len_de), requires_grad=config.effective_len_de > 0
-        )
+    p_en = vocab_rows(config.effective_len_en)
+    p_de = p_en if config.shares_prompt else vocab_rows(config.effective_len_de)
     p_in = None
     if config.inner_rows > 0:
         p_in = Tensor(rng.normal(0.0, 0.05, (config.inner_rows, dims.d)), requires_grad=True)
@@ -614,6 +614,28 @@ def vocab_logits(backbone: BackboneParams, x: Tensor) -> Tensor:
     return ad.matmul(x, ad.transpose(backbone.embed, (1, 0)))
 
 
+def teacher_forced_logits(
+    backbone: BackboneParams, prompts: PromptSet, config: PromptConfig, pairs
+) -> tuple[Tensor, np.ndarray]:
+    """Teacher-forced logits of (document, ids) pairs, and the ids they score.
+
+    The decoder runs on [P_de ; BOS ; ids[:-1]] over each encoded document,
+    so a pair's row t predicts ids[t]. The rows of all pairs, in order, share
+    one vocabulary projection: logits [sum of len(ids), vocab] and targets the
+    concatenated ids. Nothing is masked; a caller that drops PAD passes
+    ``ignore_id`` to ``cross_entropy_sum``.
+    """
+    rows, targets = [], []
+    for doc, ids in pairs:
+        ids = list(ids)
+        if not ids:
+            raise ValueError("cannot score an empty sequence")
+        enc = encode_source(backbone, prompts, config, doc)
+        rows.append(decode_logits(backbone, prompts, config, enc, ids[:-1], project=False)[0])
+        targets += ids
+    return vocab_logits(backbone, ad.concat_rows(rows)), np.array(targets, dtype=np.int64)
+
+
 def forward(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -668,7 +690,7 @@ def count_trainable_params(
     config: PromptConfig, d: int, mode: str = "prompt_only", backbone: BackboneParams | None = None
 ) -> int:
     """Number of tuned scalars: prompt rows times width, plus the backbone in full mode."""
-    len_de = 0 if config.shared else config.effective_len_de
+    len_de = 0 if config.shares_prompt else config.effective_len_de
     prompt_params = d * (config.effective_len_en + len_de + config.inner_rows)
     if mode == "prompt_only":
         return prompt_params
@@ -761,10 +783,7 @@ def _read_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
             return Tensor(tensor(key, (rows, dims.d)), requires_grad=rows > 0)
 
         p_en = prompt_tensor("prompts/P_en", config.effective_len_en)
-        if config.shared and not config.encoder_only and not config.decoder_only:
-            p_de = p_en
-        else:
-            p_de = prompt_tensor("prompts/P_de", config.effective_len_de)
+        p_de = p_en if config.shares_prompt else prompt_tensor("prompts/P_de", config.effective_len_de)
         p_in = None
         if config.inner_rows > 0:
             p_in = prompt_tensor("prompts/P_in", config.inner_rows)

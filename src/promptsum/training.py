@@ -23,9 +23,10 @@ from .model import (
     PromptConfig,
     PromptSet,
     check_rows,
+    # Unused here, but perfbench/spans.py wraps both at this import site too.
     decode_logits,
     encode_source,
-    vocab_logits,
+    teacher_forced_logits,
 )
 from .rouge import rouge_n_f1
 
@@ -105,16 +106,6 @@ def init_train_state(
     return TrainState(prompts=prompts, moments=moments)
 
 
-def nll_loss(logits, targets, pad_id: int = PAD_ID) -> Tensor:
-    """Mean negative log-likelihood over non-PAD target positions."""
-    if not isinstance(logits, Tensor):
-        logits = Tensor(logits)
-    total, n = ad.cross_entropy_sum(logits, targets, ignore_id=pad_id)
-    if n == 0:
-        raise ValueError("no unmasked target positions")
-    return ad.scale(total, 1.0 / n)
-
-
 def noam_lr(step: int, warmup_steps: int, peak_lr: float) -> float:
     """Linear warmup to peak_lr at step == warmup_steps, then 1/sqrt decay."""
     if warmup_steps < 1:
@@ -131,15 +122,10 @@ def batch_mean_nll(
     batch: list[SummaryPair],
 ) -> tuple[Tensor, int]:
     """Token-weighted mean NLL over a batch of pairs (teacher forcing), and the
-    token count. The decoder rows of every pair go through one vocabulary
-    projection and one ``cross_entropy_sum``."""
-    rows = []
-    for pair in batch:
-        enc = encode_source(backbone, prompts, pconfig, pair.document)
-        x, _ = decode_logits(backbone, prompts, pconfig, enc, pair.summary[:-1], project=False)
-        rows.append(x)
-    targets = np.concatenate([pair.summary for pair in batch])
-    logits = vocab_logits(backbone, ad.concat_rows(rows))
+    number of non-PAD target tokens it averages over. All pairs go through one
+    ``teacher_forced_logits`` pass."""
+    pairs = [(pair.document, pair.summary) for pair in batch]
+    logits, targets = teacher_forced_logits(backbone, prompts, pconfig, pairs)
     total, n_tokens = ad.cross_entropy_sum(logits, targets, ignore_id=PAD_ID)
     return ad.scale(total, 1.0 / n_tokens), n_tokens
 

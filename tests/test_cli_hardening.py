@@ -1,10 +1,15 @@
 """Malformed inputs end in one `error:` line with exit code 1, never a traceback."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import promptsum
 from promptsum.cli import dispatch
 from promptsum.corpus import load_vocab
 from promptsum.model import ModelDims, PromptConfig, init_backbone, init_prompts, save_checkpoint
@@ -366,3 +371,32 @@ def test_manifest_records_every_input_file(setup):
         assert rc == 0, command
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["inputs"] == {"data": data, "vocab": vocab, **expected}, command
+
+
+# The child's own address-space limit: room for Python and NumPy, far too
+# little for the backbone below, so that allocation fails before it starts.
+_OOM_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from promptsum.cli import main
+main()
+"""
+
+
+def test_out_of_memory_is_one_error_line(setup):
+    # d = 10**8 makes the token embedding alone vocab x 0.8 GB.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(promptsum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [
+        "pretrain-prompts", "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--d", str(10**8), "--heads", "1", "--epochs", "1", "--out", str(setup / "out"),
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", _OOM_CHILD, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: out of memory: ")
+    assert out.stderr.strip().count("\n") == 0, out.stderr
+    manifest = json.loads((setup / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"

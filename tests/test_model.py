@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptsum import autodiff as ad
-from promptsum import training
+from promptsum import model, training
 from promptsum.corpus import EOS_ID
 from promptsum.model import (
     CheckpointError,
@@ -373,7 +373,7 @@ class TestLastLayerRows:
 
         got = prompt_grads()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(training, "decode_logits", partial(decode_logits, capture_attention=True))
+            patch.setattr(model, "decode_logits", partial(decode_logits, capture_attention=True))
             want = prompt_grads()
         assert got.keys() == want.keys() and got
         for name in got:
@@ -456,6 +456,21 @@ class TestCountTrainableParams:
     def test_full_mode_requires_backbone(self):
         with pytest.raises(ConfigError):
             count_trainable_params(PromptConfig(), d=8, mode="full_model")
+
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("placement", [{}, {"encoder_only": True}, {"decoder_only": True}])
+    @pytest.mark.parametrize("strategy", ["none", "interval"])
+    def test_count_is_the_size_of_the_trained_tensors(self, placement, shared, strategy):
+        # A shared config with one placement trains that prompt on its own
+        # (decoder_only: a separate P_de), so the count must include it.
+        backbone, prompts, config = tiny_model(
+            len_en=4, len_de=4, strategy=strategy, shared=shared, **placement
+        )
+        trained = sum(t.data.size for t in prompts.named_tensors().values())
+        assert trained > 0
+        assert count_trainable_params(config, d=8) == trained
+        full = count_trainable_params(config, d=8, mode="full_model", backbone=backbone)
+        assert full == backbone.size() + trained
 
 
 class TestCheckpoint:

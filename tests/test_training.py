@@ -19,7 +19,6 @@ from promptsum.training import (
     batch_mean_nll,
     grad_check,
     init_train_state,
-    nll_loss,
     noam_lr,
     run_stage,
     train_step,
@@ -48,42 +47,6 @@ def _pairs(n=4, seed=0, vocab=20):
                        [int(v) for v in rng.integers(4, vocab, size=3)])
         out.append(make_pair(doc, [int(v) for v in rng.integers(4, vocab, size=3)]))
     return out
-
-
-class TestNllLoss:
-    def test_uniform_logits_give_log_vocab(self):
-        logits = np.zeros((3, 20))
-        loss = nll_loss(logits, [4, 5, 6])
-        assert loss.item() == pytest.approx(math.log(20), rel=1e-12)
-
-    def test_confident_logits_drive_loss_to_zero(self):
-        logits = np.full((2, 10), -50.0)
-        logits[0, 4] = 50.0
-        logits[1, 7] = 50.0
-        assert nll_loss(logits, [4, 7]).item() < 1e-10
-
-    def test_hand_computed_cross_entropy(self):
-        logits = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])
-        targets = [1, 2]
-        expected = 0.0
-        for row, t in zip(logits, targets):
-            expected += math.log(sum(math.exp(v) for v in row)) - row[t]
-        expected /= 2
-        assert nll_loss(logits, targets).item() == pytest.approx(expected, rel=1e-12)
-
-    def test_pad_positions_masked(self):
-        logits = np.array([[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]])
-        masked = nll_loss(logits, [2, PAD_ID])
-        only_first = nll_loss(logits[:1], [2])
-        assert masked.item() == pytest.approx(only_first.item(), rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            nll_loss(np.zeros((3, 5)), [1, 2])
-
-    def test_all_pad_rejected(self):
-        with pytest.raises(ValueError):
-            nll_loss(np.zeros((2, 5)), [PAD_ID, PAD_ID])
 
 
 class TestNoamLr:
@@ -384,7 +347,7 @@ class TestGradCheck:
         for t in prompts.named_tensors().values():
             t.zero_grad()
         res = forward(backbone, prompts, config, pair.document, list(pair.summary[:-1]))
-        loss = nll_loss(res.logits, list(pair.summary))
+        loss, _ = ad.cross_entropy_sum(res.logits, list(pair.summary))
         loss.backward()
         np.testing.assert_array_equal(prompts.p_in.grad[1:], 0.0)
         assert np.abs(prompts.p_in.grad[0]).max() > 0
