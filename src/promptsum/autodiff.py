@@ -54,20 +54,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -271,14 +257,17 @@ def take_rows(a: Tensor, idx) -> Tensor:
     return _result(out_data, (a,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     # np.add.reduce / n is what ndarray.mean computes, without its Python wrapper.
     n = x.data.shape[-1]
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv_std
     out_data = xhat * gamma.data
     out_data += beta.data

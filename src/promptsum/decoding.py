@@ -7,8 +7,8 @@ the lower token id, then the earlier beam slot, so decoding is fully
 deterministic.
 
 Decoding is incremental: each step runs the new decoder row of every live
-hypothesis in one batched call, against the K/V rows its parent left in the
-document's ``DecoderCache`` at the step before (see ``model.decode_logits``).
+hypothesis in one batched call, against the K/V rows its parent left at the
+step before in the decode's own ``DecoderCache`` (see ``model.decode_logits``).
 Every entry point runs under ``autodiff.no_grad``, so no decoding op records
 a tape.
 """
@@ -23,6 +23,7 @@ from . import autodiff as ad
 from .corpus import EOS_ID, Document
 from .model import (
     BackboneParams,
+    DecoderCache,
     EncodedSource,
     PromptConfig,
     PromptSet,
@@ -61,11 +62,12 @@ def _next_logprobs(
     prompts: PromptSet,
     config: PromptConfig,
     enc: EncodedSource,
+    cache: DecoderCache,
     prefixes,
 ) -> np.ndarray:
     """Log-probabilities [B, vocab] of the token after each of the equal-length
-    ``prefixes``, from one decoder call on the document's cache."""
-    logits, _ = decode_logits(backbone, prompts, config, enc, prefixes, cache=enc.cache)
+    ``prefixes``, from one decoder call on the decode's ``cache``."""
+    logits, _ = decode_logits(backbone, prompts, config, enc, prefixes, cache=cache)
     return _log_softmax(logits.data[:, -1])
 
 
@@ -88,10 +90,10 @@ def greedy_decode(
 ) -> list[int]:
     """Argmax decoding; ties go to the lower token id. Stops at EOS or max_len."""
     _check_lengths(backbone, config, max_len)
-    enc = encode_source(backbone, prompts, config, src)
+    enc, cache = encode_source(backbone, prompts, config, src), DecoderCache()
     out: list[int] = []
     while len(out) < max_len:
-        token = int(np.argmax(_next_logprobs(backbone, prompts, config, enc, [out])[0]))
+        token = int(np.argmax(_next_logprobs(backbone, prompts, config, enc, cache, [out])[0]))
         out.append(token)
         if token == EOS_ID:
             break
@@ -150,7 +152,7 @@ def beam_search(
     of token ids that also carries the winner's cumulative log-probability.
     """
     _check_lengths(backbone, config, max_len, beam)
-    enc = encode_source(backbone, prompts, config, src)
+    enc, cache = encode_source(backbone, prompts, config, src), DecoderCache()
     beams = [Hypothesis((), 0.0, False)]
     best_finished: Hypothesis | None = None
 
@@ -161,7 +163,7 @@ def beam_search(
         # Every live hypothesis has the same length and extends one of the
         # last step's, so one cached call scores them all.
         live = [slot for slot, hyp in enumerate(beams) if extendable(hyp)]
-        logprobs = _next_logprobs(backbone, prompts, config, enc, [beams[s].ids for s in live])
+        logprobs = _next_logprobs(backbone, prompts, config, enc, cache, [beams[s].ids for s in live])
         chosen = []
         for slot, tok, score in _select(beams, live, logprobs, beam):
             parent = beams[slot]

@@ -18,7 +18,7 @@ import tokenize
 import zipfile
 import zlib
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -218,27 +218,26 @@ KV = tuple[Tensor, Tensor]
 
 @dataclass
 class DecoderCache:
-    """Decoder key/value rows of one document, held without an autodiff tape.
+    """Self-attention state of one decode, held without an autodiff tape; the
+    decode loop that steps it creates it.
 
-    ``cross`` holds each layer's cross-attention K/V rows of the encoder
-    memory, projected on first use. ``ids`` is the [B, t] batch of target
-    prefixes of the last cached ``decode_logits`` call, and ``self_kv`` each
-    layer's self-attention K/V over their rows [P_de ; BOS ; prefix], as
-    [B, rows, d] arrays.
+    ``ids`` is the [B, t] batch of target prefixes of the last cached
+    ``decode_logits`` call, and ``self_kv`` each layer's self-attention K/V
+    over their rows [P_de ; BOS ; prefix], as [B, rows, d] arrays.
     """
 
-    cross: list[KV] | None = None
     ids: np.ndarray | None = None
     self_kv: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass(frozen=True)
 class EncodedSource:
-    """Encoder output for one document, plus the decoder cache built on it."""
+    """Encoder output for one document: the memory rows [P_en ; source] and
+    each decoder layer's cross-attention K/V rows of them. Any number of
+    decodes can read one."""
 
     memory: Tensor
-    length: int
-    cache: DecoderCache = field(default_factory=DecoderCache, compare=False, repr=False)
+    cross: list[KV]
 
 
 # --------------------------------------------------------------------------
@@ -468,7 +467,7 @@ def encode_source(
         h = ad.layer_norm(x, p[f"enc{i}/ln2/gamma"], p[f"enc{i}/ln2/beta"])
         x = ad.add(x, _ffn(h, p, f"enc{i}/ffn"))
     memory = ad.layer_norm(x, p["enc/ln/gamma"], p["enc/ln/beta"])
-    return EncodedSource(memory, memory.data.shape[0])
+    return EncodedSource(memory, [_project_kv(memory, p, f"dec{i}/cross") for i in range(dims.layers)])
 
 
 def _parent_rows(cached: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -496,12 +495,6 @@ def _gather_past(cached: np.ndarray, parent: np.ndarray, rows: int) -> np.ndarra
     return out
 
 
-def _cross_kv(backbone: BackboneParams, enc: EncodedSource) -> list[KV]:
-    """Each decoder layer's cross-attention K/V rows of the encoder memory."""
-    p = backbone.params
-    return [_project_kv(enc.memory, p, f"dec{i}/cross") for i in range(backbone.dims.layers)]
-
-
 def decode_logits(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -523,17 +516,18 @@ def decode_logits(
     per-layer cross-attention probabilities when requested. The ``P_de``
     rows give the last layer only their self-attention K/V: its queries,
     cross-attention, FFN and final layer norm run on the predicting rows
-    alone, unless attention is captured, which covers every row. With a cache
-    (the one on ``enc``), a call after the first must extend the prefixes of
-    the last one: each row takes the self-attention K/V of the cached row
-    whose ids are its own first tokens, only the rows after them are
-    computed, and logits come back for those rows alone (the last predicts
-    the token after the prefix). Each layer's past K/V is copied once, into
-    the [B, t_dec, d] buffer that then takes the new rows' K/V. Every
-    product keeps the batch axis, so a row's logits do not depend on which
-    other rows share the call. The call's prefixes and K/V then replace
-    the cached ones, and the call records no autodiff tape. A batch that
-    does not extend the last call raises ``ValueError``.
+    alone, unless attention is captured, which covers every row. Every path
+    reads the cross-attention K/V on ``enc``. With a cache (the decode's own),
+    a call after the first must extend the prefixes of the last one: each
+    row takes the self-attention K/V of the cached row whose ids are its own
+    first tokens, only the rows after them are computed, and logits come
+    back for those rows alone (the last predicts the token after the
+    prefix). Each layer's past K/V is copied once, into the [B, t_dec, d]
+    buffer that then takes the new rows' K/V. Every product keeps the batch
+    axis, so a row's logits do not depend on which other rows share the
+    call. The call's prefixes and K/V then replace the cached ones, and the
+    call records no autodiff tape. A batch that does not extend the last
+    call raises ``ValueError``.
 
     ``project=False`` returns the final layer-norm rows in place of the
     logits, so that a caller can project the rows of several calls at once
@@ -554,16 +548,10 @@ def decode_logits(
         past = None
         # Rows start..t_dec-1 are computed; cached rows always cover P_de and BOS.
         start = 0
-        if cache is not None:
-            if cache.ids is not None:
-                parent = _parent_rows(cache.ids, batch)
-                start = len_de + 1 + cache.ids.shape[1]
-                past = [tuple(_gather_past(a, parent, t_dec) for a in kv) for kv in cache.self_kv]
-            if cache.cross is None:
-                cache.cross = _cross_kv(backbone, enc)
-            cross = cache.cross
-        else:
-            cross = _cross_kv(backbone, enc)
+        if cache is not None and cache.ids is not None:
+            parent = _parent_rows(cache.ids, batch)
+            start = len_de + 1 + cache.ids.shape[1]
+            past = [tuple(_gather_past(a, parent, t_dec) for a in kv) for kv in cache.self_kv]
 
         ids = np.concatenate([np.full(lead + (1,), BOS_ID, dtype=np.int64), ids], axis=-1)
         first = max(start - len_de, 0)
@@ -594,7 +582,7 @@ def decode_logits(
                 cut = 0
             x = ad.add(x, _attention(h, k, v, p, f"dec{i}/self", dims.heads, mask=mask))
             h = ad.layer_norm(x, p[f"dec{i}/ln2/gamma"], p[f"dec{i}/ln2/beta"])
-            ck, cv = cross[i]
+            ck, cv = enc.cross[i]
             x = ad.add(x, _attention(h, ck, cv, p, f"dec{i}/cross", dims.heads, capture=capture))
             h = ad.layer_norm(x, p[f"dec{i}/ln3/gamma"], p[f"dec{i}/ln3/beta"])
             x = ad.add(x, _ffn(h, p, f"dec{i}/ffn"))
@@ -753,6 +741,9 @@ def _read_checkpoint(path) -> tuple[BackboneParams, PromptSet]:
             meta = json.loads(str(npz["__meta__"]))
         except KeyError as exc:
             raise CheckpointError(f"{path}: missing metadata header") from exc
+        # Not JSON, or an object array that NumPy will not unpickle.
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: malformed metadata header: {exc}") from exc
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path}: malformed metadata header")
         if meta.get("version") != CHECKPOINT_VERSION:

@@ -20,7 +20,7 @@ REASON_TOO_FEW_SENTENCES = "too-few-sentences"
 REASON_SOURCE_SHORTER = "source-shorter-than-summary"
 
 # Junk commonly prefixed to news summaries: bylines, agency tags, leading dates.
-DEFAULT_CLEAN_PATTERNS = (
+CLEAN_PATTERNS = (
     r"\b[Bb]y\s+[A-Z][\w.'-]*(?:\s+[A-Z][\w.'-]*){0,3}",
     r"\([^)]{1,40}\)",
     r"^\s*\d{4}-\d{2}-\d{2}\s*",
@@ -55,9 +55,9 @@ class DegenerateDocumentError(ValueError):
     pass
 
 
-def clean_summary_text(text: str, patterns=DEFAULT_CLEAN_PATTERNS) -> str:
+def clean_summary_text(text: str) -> str:
     """Strip byline/agency/date junk from a summary sentence string."""
-    for pattern in patterns:
+    for pattern in CLEAN_PATTERNS:
         text = re.sub(pattern, " ", text)
     return re.sub(r"\s+", " ", text).strip()
 
@@ -75,6 +75,8 @@ def build_lead_pair(
     the remainder runs out. Pairs whose pseudo document ends up shorter than
     the pseudo summary are rejected.
     """
+    if lead_n < 1:
+        raise ValueError(f"lead_n must be >= 1, got {lead_n}")
     if len(doc.sentences) < lead_n + 1:
         return Rejection(REASON_TOO_FEW_SENTENCES)
     summary_sents = list(doc.sentences[:lead_n])
@@ -126,6 +128,8 @@ def build_gsg_pair(doc: Document, m: int = 1) -> SummaryPair | Rejection:
 
     Selected sentences are concatenated in original document order.
     """
+    if m < 1:
+        raise ValueError(f"gap-sentence count m must be >= 1, got {m}")
     if len(doc.sentences) < m + 1:
         return Rejection(REASON_TOO_FEW_SENTENCES)
     selected = select_gsg_indices(doc, m)

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.warmup_ratio is not None and not 0 <= self.warmup_ratio < math.inf:
             raise ValueError(f"warmup_ratio must be finite and >= 0, got {self.warmup_ratio}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch < 1 or self.grad_accum < 1:
             raise ValueError("batch and grad_accum must be >= 1")
         if (self.warmup_steps is None) == (self.warmup_ratio is None):

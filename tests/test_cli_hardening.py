@@ -106,6 +106,23 @@ def test_checkpoint_unknown_metadata_key(setup, capsys, section):
     assert "bad.npz" in err and "colour" in err
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        (np.array("not json"), "Expecting value"),
+        (np.array([{"version": 1}], dtype=object), "allow_pickle=False"),
+    ],
+    ids=["not-json", "object-array"],
+)
+def test_checkpoint_malformed_metadata_header(setup, capsys, meta, message):
+    arrays = _arrays(setup / "ckpt.npz")
+    arrays["__meta__"] = meta
+    np.savez(setup / "bad.npz", **arrays)
+    assert _run(setup, "generate", setup / "bad.npz", ["--max-len", "4"]) == 1
+    err = _single_error(capsys)
+    assert "bad.npz: malformed metadata header" in err and message in err
+
+
 def test_truncated_checkpoint(setup, capsys):
     data = (setup / "ckpt.npz").read_bytes()
     (setup / "bad.npz").write_bytes(data[: len(data) // 2])
@@ -351,6 +368,29 @@ def test_negative_seed_is_one_error_line(setup, capsys, extra, config, named):
     err = _single_error(capsys)
     assert f"{named} must be >= 0" in err
     assert not (setup / "out").exists()
+
+
+def test_negative_epochs_is_one_error_line(setup, capsys):
+    rc = dispatch([
+        "pretrain-prompts", "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--d", "8", "--layers", "1", "--heads", "2", "--ffn", "16", "--max-pos", "64",
+        "--prompt-len-en", "2", "--prompt-len-de", "2", "--epochs", "-3", "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert "epochs must be >= 0, got -3" in _single_error(capsys)
+    assert not (setup / "out" / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("strategy, flag, name", [("gsg", "--m", "m"), ("lead", "--lead-n", "lead_n")])
+def test_pseudo_summary_size_below_one(setup, capsys, strategy, flag, name, value):
+    rc = dispatch([
+        "build-pseudo", "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--strategy", strategy, flag, value, "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert f"{name} must be >= 1, got {value}" in _single_error(capsys)
+    assert not (setup / "out" / "pseudo.jsonl").exists()
 
 
 def test_manifest_records_every_input_file(setup):

@@ -12,7 +12,7 @@ from promptsum import decoding
 from promptsum.corpus import EOS_ID
 from promptsum.decoding import Hypothesis, _select, beam_search, greedy_decode, sequence_logprob
 from promptsum.evaluation import export_attention, perplexity
-from promptsum.model import decode_logits, encode_source
+from promptsum.model import DecoderCache, decode_logits, encode_source
 
 from conftest import make_doc, make_pair, tiny_model
 
@@ -20,7 +20,7 @@ from conftest import make_doc, make_pair, tiny_model
 def _stub_scorer(table):
     """Replace the model call with a lookup keyed by each generated prefix."""
 
-    def fake(backbone, prompts, config, enc, prefixes):
+    def fake(backbone, prompts, config, enc, cache, prefixes):
         return np.stack([table[tuple(prefix)] for prefix in prefixes])
 
     return fake
@@ -223,13 +223,10 @@ class TestSequenceLogprob:
         doc = make_doc([4, 5])
         out = greedy_decode(backbone, prompts, config, doc, max_len=4)
 
+        enc = encode_source(backbone, prompts, config, doc)
         total = 0.0
         for t in range(len(out)):
-            lp = decoding._next_logprobs(
-                backbone, prompts, config,
-                decoding.encode_source(backbone, prompts, config, doc),
-                [out[:t]],
-            )[0]
+            lp = decoding._next_logprobs(backbone, prompts, config, enc, DecoderCache(), [out[:t]])[0]
             total += lp[out[t]]
         assert sequence_logprob(backbone, prompts, config, doc, out) == pytest.approx(total, rel=1e-10)
 
@@ -259,5 +256,5 @@ def test_inference_records_no_tape(monkeypatch, tmp_path):
     enc = encode_source(backbone, prompts, config, doc)
     assert taped  # the encoder, outside no_grad, records as before
     taped.clear()
-    decode_logits(backbone, prompts, config, enc, [[]], cache=enc.cache)
+    decode_logits(backbone, prompts, config, enc, [[]], cache=DecoderCache())
     assert not taped

@@ -21,7 +21,14 @@ from promptsum.decoding import (
     greedy_decode,
 )
 from promptsum.evaluation import evaluate, perplexity
-from promptsum.model import LengthOverflowError, _attention, _causal_mask, decode_logits, encode_source
+from promptsum.model import (
+    DecoderCache,
+    LengthOverflowError,
+    _attention,
+    _causal_mask,
+    decode_logits,
+    encode_source,
+)
 
 from conftest import make_doc, make_pair, tiny_model
 
@@ -77,12 +84,12 @@ def reference_beam_search(backbone, prompts, config, src, beam, max_len):
     return list(max(beams, key=lambda h: h[1])[0])
 
 
-def _stepped_logprobs(backbone, prompts, config, src, ids):
-    """Next-token log-probabilities after ``ids``, from a fresh encoding whose
-    cache is stepped along ``ids`` one token at a time."""
-    enc = encode_source(backbone, prompts, config, src)
+def _stepped_logprobs(backbone, prompts, config, enc, ids):
+    """Next-token log-probabilities after ``ids``, from a fresh cache stepped
+    along ``ids`` one token at a time."""
+    cache = DecoderCache()
     for n in range(len(ids) + 1):
-        logprobs = _next_logprobs(backbone, prompts, config, enc, [ids[:n]])[0]
+        logprobs = _next_logprobs(backbone, prompts, config, enc, cache, [ids[:n]])[0]
     return logprobs
 
 
@@ -90,6 +97,7 @@ def per_hypothesis_beam_search(backbone, prompts, config, src, beam, max_len):
     """Beam search as it was before the batched step: every live hypothesis
     is scored on its own, by cached single-row decoder steps along its ids."""
     _check_lengths(backbone, config, max_len)
+    enc = encode_source(backbone, prompts, config, src)
     beams = [Hypothesis((), 0.0, False)]
     best_finished = None
 
@@ -100,7 +108,7 @@ def per_hypothesis_beam_search(backbone, prompts, config, src, beam, max_len):
         scores, tokens, slots = [], [], []
         for slot, hyp in enumerate(beams):
             if extendable(hyp):
-                logprobs = _stepped_logprobs(backbone, prompts, config, src, hyp.ids)
+                logprobs = _stepped_logprobs(backbone, prompts, config, enc, hyp.ids)
                 scores.append(hyp.logp + logprobs)
                 tokens.append(np.arange(len(logprobs)))
             else:
@@ -190,20 +198,19 @@ class TestBatchedStep:
         # The cached call holds some parent prefixes; the next batch extends
         # them in any order, with a parent taken by several rows or by none.
         (backbone, prompts, config), doc, vocab = model
-        enc = encode_source(backbone, prompts, config, doc)
-        fresh = encode_source(backbone, prompts, config, doc)
+        enc, cache = encode_source(backbone, prompts, config, doc), DecoderCache()
         tokens = st.integers(0, vocab - 1)
         length, extra = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
         parents = data.draw(st.lists(st.tuples(*[tokens] * length), min_size=1, max_size=3))
-        decode_logits(backbone, prompts, config, enc, parents, cache=enc.cache)
+        decode_logits(backbone, prompts, config, enc, parents, cache=cache)
         slots = data.draw(st.lists(st.integers(0, len(parents) - 1), min_size=1, max_size=4))
         batch = [parents[j] + data.draw(st.tuples(*[tokens] * extra)) for j in slots]
-        logits, _ = decode_logits(backbone, prompts, config, enc, batch, cache=enc.cache)
+        logits, _ = decode_logits(backbone, prompts, config, enc, batch, cache=cache)
         assert logits.shape[:2] == (len(batch), extra)
         for b, prefix in enumerate(batch):
-            full, _ = decode_logits(backbone, prompts, config, fresh, prefix)
+            full, _ = decode_logits(backbone, prompts, config, enc, prefix)
             np.testing.assert_allclose(logits.data[b], full.data[-extra:], rtol=0, atol=1e-12)
-        assert enc.cache.ids.tolist() == [list(prefix) for prefix in batch]
+        assert cache.ids.tolist() == [list(prefix) for prefix in batch]
 
 
 class TestCachedRows:
@@ -212,15 +219,14 @@ class TestCachedRows:
     def test_cached_row_matches_full_decode(self, model, data):
         # Steps of one or more tokens along a batch of sequences.
         (backbone, prompts, config), doc, vocab = model
-        enc = encode_source(backbone, prompts, config, doc)
-        fresh = encode_source(backbone, prompts, config, doc)
+        enc, cache = encode_source(backbone, prompts, config, doc), DecoderCache()
         tokens = st.integers(0, vocab - 1)
         length = data.draw(st.integers(0, 5))
         seqs = data.draw(st.lists(st.lists(tokens, min_size=length, max_size=length), min_size=1, max_size=3))
         for n in sorted(data.draw(st.sets(st.integers(0, length), min_size=1))):
-            cached = _next_logprobs(backbone, prompts, config, enc, [seq[:n] for seq in seqs])
+            cached = _next_logprobs(backbone, prompts, config, enc, cache, [seq[:n] for seq in seqs])
             for row, seq in zip(cached, seqs):
-                full = _uncached_logprobs(backbone, prompts, config, fresh, seq[:n])
+                full = _uncached_logprobs(backbone, prompts, config, enc, seq[:n])
                 np.testing.assert_allclose(row, full, rtol=0, atol=1e-12)
 
     @SETTINGS
@@ -229,32 +235,36 @@ class TestCachedRows:
         (backbone, prompts, config), doc, _ = model
         enc = encode_source(backbone, prompts, config, doc)
         prefix = [4, 5, 6]
-        cached, _ = decode_logits(backbone, prompts, config, enc, prefix, cache=enc.cache)
+        cached, _ = decode_logits(backbone, prompts, config, enc, prefix, cache=DecoderCache())
         full, _ = decode_logits(backbone, prompts, config, enc, prefix)
         assert cached.data.tobytes() == full.data.tobytes()
 
     @SETTINGS
     @given(models(), st.lists(st.integers(4, 7), min_size=1, max_size=5))
     def test_cached_tensors_are_detached(self, model, prefix):
+        # The cache holds only ndarrays; an encoding made under no_grad holds no tape.
         (backbone, prompts, config), doc, _ = model
-        enc = encode_source(backbone, prompts, config, doc)
+        with ad.no_grad():
+            enc = encode_source(backbone, prompts, config, doc)
+        tensors = [enc.memory] + [t for kv in enc.cross for t in kv]
+        assert len(tensors) == 1 + 2 * backbone.dims.layers
+        assert all(t._parents == () and t._backward is None for t in tensors)
+        cache = DecoderCache()
         for n in range(len(prefix) + 1):
-            _next_logprobs(backbone, prompts, config, enc, [prefix[:n]])
-        cross = [t for kv in enc.cache.cross for t in kv]
-        assert cross and all(t._parents == () and t._backward is None for t in cross)
+            _next_logprobs(backbone, prompts, config, enc, cache, [prefix[:n]])
         rows = (1, config.effective_len_de + 1 + len(prefix), backbone.dims.d)
-        arrays = [a for kv in enc.cache.self_kv for a in kv]
+        arrays = [a for kv in cache.self_kv for a in kv]
         assert arrays and all(type(a) is np.ndarray and a.shape == rows for a in arrays)
 
     def test_cache_holds_only_the_last_calls_rows(self):
         backbone, prompts, config = tiny_model(seed=2)
-        enc = encode_source(backbone, prompts, config, make_doc([4, 5]))
+        enc, cache = encode_source(backbone, prompts, config, make_doc([4, 5])), DecoderCache()
         for batch in [[()], [(4,), (6,)], [(4, 5), (4, 7), (6, 7)]]:
-            _next_logprobs(backbone, prompts, config, enc, batch)
-        assert enc.cache.ids.tolist() == [[4, 5], [4, 7], [6, 7]]
+            _next_logprobs(backbone, prompts, config, enc, cache, batch)
+        assert cache.ids.tolist() == [[4, 5], [4, 7], [6, 7]]
         rows = (3, config.effective_len_de + 3, backbone.dims.d)
-        assert len(enc.cache.self_kv) == backbone.dims.layers
-        assert all(a.shape == rows for kv in enc.cache.self_kv for a in kv)
+        assert len(cache.self_kv) == backbone.dims.layers
+        assert all(a.shape == rows for kv in cache.self_kv for a in kv)
 
     @pytest.mark.parametrize(
         "batch",
@@ -263,13 +273,13 @@ class TestCachedRows:
     )
     def test_batch_not_extending_the_last_call_is_rejected(self, batch):
         backbone, prompts, config = tiny_model(seed=2)
-        enc = encode_source(backbone, prompts, config, make_doc([4, 5]))
-        _next_logprobs(backbone, prompts, config, enc, [(4, 5), (6, 7)])
-        kv = enc.cache.self_kv
+        enc, cache = encode_source(backbone, prompts, config, make_doc([4, 5])), DecoderCache()
+        _next_logprobs(backbone, prompts, config, enc, cache, [(4, 5), (6, 7)])
+        kv = cache.self_kv
         with pytest.raises(ValueError, match="do not extend"):
-            _next_logprobs(backbone, prompts, config, enc, batch)
-        assert enc.cache.ids.tolist() == [[4, 5], [6, 7]]
-        assert enc.cache.self_kv is kv
+            _next_logprobs(backbone, prompts, config, enc, cache, batch)
+        assert cache.ids.tolist() == [[4, 5], [6, 7]]
+        assert cache.self_kv is kv
 
 
 class TestCachedStep:
@@ -291,12 +301,11 @@ class TestCachedStep:
             seed=seed, vocab=12, layers=layers, len_de=len_de, decoder_only=decoder_only
         )
         doc = make_doc([4, 5, 6], [7, 8])
-        enc = encode_source(backbone, prompts, config, doc)
-        fresh = encode_source(backbone, prompts, config, doc)
+        enc, cache = encode_source(backbone, prompts, config, doc), DecoderCache()
         length = data.draw(st.integers(1, 4))
         tokens = st.lists(st.integers(0, 11), min_size=length, max_size=length)
         seqs = data.draw(st.lists(tokens, min_size=batch, max_size=batch))
-        decode_logits(backbone, prompts, config, enc, [[]] * batch, cache=enc.cache)
+        decode_logits(backbone, prompts, config, enc, [[]] * batch, cache=cache)
         concats = []
         real = ad.concat_rows
 
@@ -309,14 +318,46 @@ class TestCachedStep:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ad, "concat_rows", counting)
                 logits, _ = decode_logits(
-                    backbone, prompts, config, enc, [seq[:n] for seq in seqs], cache=enc.cache
+                    backbone, prompts, config, enc, [seq[:n] for seq in seqs], cache=cache
                 )
             assert logits.shape == (batch, n - done, backbone.dims.vocab)
             for b, seq in enumerate(seqs):
-                full, _ = decode_logits(backbone, prompts, config, fresh, seq[:n])
+                full, _ = decode_logits(backbone, prompts, config, enc, seq[:n])
                 np.testing.assert_allclose(logits.data[b], full.data[-(n - done):], rtol=0, atol=1e-12)
             done = n
         assert not concats
+
+
+class TestDecodesShareAnEncoding:
+    @SETTINGS
+    @given(models(), st.data())
+    def test_two_caches_step_interleaved_batches(self, model, data):
+        # Two decodes of one encoding, each with its own cache, step their own
+        # batches of prefixes in an interleaved order.
+        (backbone, prompts, config), doc, vocab = model
+        enc = encode_source(backbone, prompts, config, doc)
+        tokens = st.integers(0, vocab - 1)
+        decodes = []
+        for _ in range(2):
+            length = data.draw(st.integers(0, 4))
+            seqs = data.draw(st.lists(st.lists(tokens, min_size=length, max_size=length), min_size=1, max_size=3))
+            steps = sorted(data.draw(st.sets(st.integers(0, length), min_size=1)))
+            decodes.append((DecoderCache(), seqs, steps))
+        order = data.draw(st.permutations([0] * len(decodes[0][2]) + [1] * len(decodes[1][2])))
+        done = [None, None]
+        for which in order:
+            cache, seqs, steps = decodes[which]
+            n = steps.pop(0)
+            batch = [seq[:n] for seq in seqs]
+            logits, _ = decode_logits(backbone, prompts, config, enc, batch, cache=cache)
+            # A first call returns every predicting row, a later one the new rows.
+            new = n + 1 if done[which] is None else n - done[which]
+            assert logits.shape == (len(seqs), new, vocab)
+            for b, prefix in enumerate(batch):
+                full, _ = decode_logits(backbone, prompts, config, enc, prefix)
+                np.testing.assert_allclose(logits.data[b], full.data[-new:], rtol=0, atol=1e-12)
+            assert cache.ids.tolist() == batch
+            done[which] = n
 
 
 class TestBeamAgainstReference:
@@ -339,28 +380,25 @@ class TestBeamAgainstReference:
         table = {(): row({4: 0.45, 5: 0.45}), (4,): row({7: 0.5}), (5,): row({6: 0.5})}
         monkeypatch.setattr(
             decoding, "_next_logprobs",
-            lambda b, p, c, e, prefixes: np.stack([table[tuple(x)] for x in prefixes]),
+            lambda b, p, c, e, cache, prefixes: np.stack([table[tuple(x)] for x in prefixes]),
         )
         backbone, prompts, config = tiny_model(vocab=10)
         assert beam_search(backbone, prompts, config, make_doc([4]), beam=2, max_len=2) == [5, 6]
 
     def test_cache_holds_at_most_beam_prefixes(self, monkeypatch):
-        encoded, batches = [], []
-
-        def capture(*args):
-            encoded.append(encode_source(*args))
-            return encoded[-1]
+        batches, caches = [], []
 
         def record(*args, **kwargs):
             batches.append(args[4])
+            caches.append(kwargs["cache"])
             return decode_logits(*args, **kwargs)
 
-        monkeypatch.setattr(decoding, "encode_source", capture)
         monkeypatch.setattr(decoding, "decode_logits", record)
         backbone, prompts, config = tiny_model(seed=4, vocab=12)
         beam_search(backbone, prompts, config, make_doc([4, 5, 6]), beam=3, max_len=6)
         assert all(1 <= len(batch) <= 3 for batch in batches)
-        cache = encoded[0].cache
+        cache = caches[0]
+        assert all(c is cache for c in caches)
         assert cache.ids.tolist() == [list(prefix) for prefix in batches[-1]]
         assert all(a.shape[0] == len(batches[-1]) for kv in cache.self_kv for a in kv)
 

@@ -244,7 +244,7 @@ class TestRowRule:
         doc = make_doc(*([4] * n for n in sentences))
         enc = encode_source(backbone, prompts, config, doc)
         _, capture = decode_logits(backbone, prompts, config, enc, [5] * n_prefix, capture_attention=True)
-        enc_rows, dec_rows = enc.length, capture[0].shape[-2]
+        enc_rows, dec_rows = enc.memory.shape[0], capture[0].shape[-2]
 
         def raises(m, **rows) -> bool:
             try:
