@@ -18,7 +18,6 @@ import json
 import os
 import sys
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -740,10 +739,7 @@ def dispatch(argv=None) -> int:
         if command.check:
             command.check(args)
         inputs = {dest: getattr(args, dest) for dest in _INPUTS if hasattr(args, dest)}
-        # The manifest counts the skipped records and records which prompts a run
-        # kept, so the library's warnings of both stay off stderr.
-        with warnings.catch_warnings(), _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:
-            warnings.filterwarnings("ignore", r"no dev set|.*: skipped \d+ records", UserWarning)
+        with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:
             command.handler(args, cfg, run)
     except SystemExit as exc:  # --help; argument errors raise CliError instead
         return int(exc.code) if exc.code else 0

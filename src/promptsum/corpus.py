@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,17 +59,11 @@ class CapacityError(CorpusError):
 
 @dataclass(frozen=True)
 class Vocab:
-    """Token/id bijection with four reserved ids (PAD, BOS, EOS, UNK)."""
+    """Token/id bijection with four reserved ids (PAD, BOS, EOS, UNK);
+    ``build_vocab`` and ``load_vocab`` make only such pairs."""
 
     token_to_id: dict[str, int]
     id_to_token: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for i, tok in enumerate(RESERVED_TOKENS):
-            if self.id_to_token[i] != tok:
-                raise CorpusError(f"id {i} must be reserved for {tok!r}")
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise CorpusError("token map and id list disagree in size")
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -100,11 +93,17 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
+    """Read a vocabulary written by ``save_vocab``; every error names the file."""
     with open(path, encoding="utf-8") as fh:
         id_to_token = tuple(line.rstrip("\n") for line in fh)
-    if len(id_to_token) < len(RESERVED_TOKENS):
-        raise CorpusError(f"vocab file {path} is missing reserved tokens")
-    return Vocab({tok: i for i, tok in enumerate(id_to_token)}, id_to_token)
+    for i, tok in enumerate(RESERVED_TOKENS):
+        if id_to_token[i : i + 1] != (tok,):
+            raise CorpusError(f"{path}: line {i + 1}: id {i} must be reserved for {tok!r}")
+    token_to_id: dict[str, int] = {}
+    for i, tok in enumerate(id_to_token):
+        if token_to_id.setdefault(tok, i) != i:
+            raise CorpusError(f"{path}: line {i + 1}: token {tok!r} repeats line {token_to_id[tok] + 1}")
+    return Vocab(token_to_id, id_to_token)
 
 
 @dataclass(frozen=True)
@@ -292,8 +291,8 @@ def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> Dataset:
 
     Documents are sentence-split, tokenized, and flat-truncated to
     ``max_src_tokens`` (sentence list re-derived after truncation). Records
-    with an empty document or summary are skipped with a warning, and their
-    count is the returned list's ``skipped``.
+    with an empty document or summary are skipped; their count is the
+    returned list's ``skipped``.
     """
     pairs: list[SummaryPair] = []
     skipped = 0
@@ -312,8 +311,6 @@ def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> Dataset:
             skipped += 1
             continue
         pairs.append(SummaryPair(doc, summary))
-    if skipped:
-        warnings.warn(f"{path}: skipped {skipped} records with empty document/summary")
     if not pairs:
         raise EmptyDatasetError(f"{path}: no valid records")
     return Dataset(pairs, skipped)

@@ -88,12 +88,17 @@ def greedy_decode(
     src: Document,
     max_len: int = 256,
 ) -> list[int]:
-    """Argmax decoding; ties go to the lower token id. Stops at EOS or max_len."""
+    """Each step takes the token of highest cumulative log-probability, ties to
+    the lower id: ``beam_search``'s ranking, so beam=1 gives the same ids even
+    where rounding ties two cumulative scores. Stops at EOS or max_len."""
     _check_lengths(backbone, config, max_len)
     enc, cache = encode_source(backbone, prompts, config, src), DecoderCache()
     out: list[int] = []
+    logp = 0.0
     while len(out) < max_len:
-        token = int(np.argmax(_next_logprobs(backbone, prompts, config, enc, cache, [out])[0]))
+        score = logp + _next_logprobs(backbone, prompts, config, enc, cache, [out])[0]
+        token = int(np.argmax(score))
+        logp = score[token]
         out.append(token)
         if token == EOS_ID:
             break

@@ -307,11 +307,8 @@ def init_prompts(config: PromptConfig, backbone: BackboneParams, seed: int) -> P
     """Prompt rows copy sampled vocabulary embeddings; inner rows are N(0, 0.05).
 
     Vocabulary rows are sampled without replacement while the vocabulary is
-    large enough; otherwise sampling falls back to with-replacement with a
-    warning.
+    large enough, and with replacement for a prompt longer than the vocabulary.
     """
-    import warnings
-
     rng = np.random.default_rng(seed)
     dims = backbone.dims
     embed = backbone.embed.data
@@ -319,13 +316,7 @@ def init_prompts(config: PromptConfig, backbone: BackboneParams, seed: int) -> P
     def vocab_rows(n: int) -> Tensor:
         if n == 0:
             return Tensor(np.zeros((0, dims.d)))
-        if n <= dims.vocab:
-            idx = rng.choice(dims.vocab, size=n, replace=False)
-        else:
-            warnings.warn(
-                f"prompt length {n} exceeds vocab {dims.vocab}; sampling with replacement"
-            )
-            idx = rng.choice(dims.vocab, size=n, replace=True)
+        idx = rng.choice(dims.vocab, size=n, replace=n > dims.vocab)
         return Tensor(embed[idx].copy(), requires_grad=True)
 
     p_en = vocab_rows(config.effective_len_en)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -68,6 +67,8 @@ class TrainConfig:
             raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         if self.warmup_ratio is not None and not 0 <= self.warmup_ratio < math.inf:
             raise ValueError(f"warmup_ratio must be finite and >= 0, got {self.warmup_ratio}")
+        if self.warmup_steps is not None and self.warmup_steps < 1:
+            raise ValueError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch < 1 or self.grad_accum < 1:
@@ -314,8 +315,8 @@ def run_stage(
     which is appended to ``loss_history`` as ``{"epoch": n, "dev_rouge1": x}``;
     every trainable tensor (the prompts, and the backbone in ``full_model``
     mode) is restored to its value at the best epoch. With no dev set the
-    final checkpoint is returned with a warning. Either way ``state.selected``
-    records the choice.
+    final checkpoint is returned. Either way ``state.selected`` records the
+    choice: ``{"by": "dev_rouge1" | "final", "epoch": n}``.
     """
     if stage not in ("pretrain", "finetune"):
         raise ValueError(f"unknown stage {stage!r}")
@@ -358,7 +359,5 @@ def run_stage(
     if best_snap is not None:
         for name, t in tensors.items():
             t.data[...] = best_snap[name]
-    elif not dev:
-        warnings.warn("no dev set; returning the final checkpoint")
     state.selected = {"by": "dev_rouge1" if best_snap is not None else "final", "epoch": best_epoch}
     return state

@@ -3,10 +3,14 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import promptsum
 from promptsum import cli
 from promptsum.cli import dispatch, load_config_file, shipped_defaults
 from promptsum.corpus import load_dataset, load_vocab
@@ -45,8 +49,8 @@ def _vocab(corpus_dir):
     return str(corpus_dir / "v" / "vocab.txt")
 
 
-def _pretrain(corpus_dir, out="ckpt", epochs="4", extra=()):
-    rc = dispatch([
+def _pretrain_argv(corpus_dir, out="ckpt", epochs="4", extra=()):
+    return [
         "pretrain-prompts",
         "--data", str(corpus_dir / "pseudo" / "pseudo.jsonl"),
         "--vocab", _vocab(corpus_dir),
@@ -56,9 +60,22 @@ def _pretrain(corpus_dir, out="ckpt", epochs="4", extra=()):
         "--seed", "1",
         "--out", str(corpus_dir / out),
         *extra,
-    ])
-    assert rc == 0
+    ]
+
+
+def _pretrain(corpus_dir, out="ckpt", epochs="4", extra=()):
+    assert dispatch(_pretrain_argv(corpus_dir, out, epochs, extra)) == 0
     return str(corpus_dir / out / "checkpoint.npz")
+
+
+def _python_m(argv, cwd):
+    """Run ``python -m promptsum`` on ``argv`` in a child with ``src`` on its path."""
+    env = dict(os.environ)
+    src = str(Path(promptsum.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "promptsum", *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def _build_pseudo(corpus_dir, extra=(), expect=0):
@@ -86,6 +103,13 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.strip().count("\n") == 0
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        write_jsonl(tmp_path / "train.jsonl", make_lead_corpus(2, seed=0))
+        out = _python_m(["build-vocab", "--data", "train.jsonl", "--out", "v"], cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        assert (tmp_path / "v" / "vocab.txt").exists()
 
 
 class TestRunBookkeeping:
@@ -127,9 +151,6 @@ class TestRunBookkeeping:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_stale_lock_reported_and_kept(self, corpus_dir, capsys):
-        import subprocess
-        import sys
-
         child = subprocess.Popen([sys.executable, "-c", ""])
         child.wait()
         out = corpus_dir / "stale"
@@ -343,14 +364,9 @@ class TestTrainingCommands:
             assert entry["grad_norm"] > 0
 
     def test_manifest_records_which_prompts_were_kept(self, corpus_dir, capsys):
-        import warnings
-
         _build_pseudo(corpus_dir)
         capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            _pretrain(corpus_dir, epochs="2")
-        assert not [w for w in caught if "no dev set" in str(w.message)]
+        _pretrain(corpus_dir, epochs="2")
         assert capsys.readouterr().err == ""
         manifest = _read_json(corpus_dir / "ckpt" / "manifest.json")
         assert manifest["selected"] == {"by": "final", "epoch": 2}
@@ -360,6 +376,25 @@ class TestTrainingCommands:
         scores = [e["dev_rouge1"] for e in log if "epoch" in e]
         selected = _read_json(corpus_dir / "dev" / "manifest.json")["selected"]
         assert selected == {"by": "dev_rouge1", "epoch": scores.index(max(scores)) + 1}
+
+    def test_run_facts_go_to_the_manifest_not_stderr(self, corpus_dir):
+        # A prompt longer than the vocabulary, no dev set and an empty record:
+        # each is recorded as data, and the run, in a child with Python's
+        # default warning filters, writes nothing to stderr.
+        _build_pseudo(corpus_dir)
+        data = corpus_dir / "pseudo" / "pseudo.jsonl"
+        with open(data, "a") as fh:
+            fh.write(json.dumps({"document": "A cat sat.", "summary": ""}) + "\n")
+        n_vocab = len(load_vocab(_vocab(corpus_dir)))
+        argv = _pretrain_argv(corpus_dir, epochs="1", extra=["--prompt-len-en", str(n_vocab + 3)])
+        out = _python_m(argv, cwd=corpus_dir)
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        manifest = _read_json(corpus_dir / "ckpt" / "manifest.json")
+        assert manifest["n_skipped"] == {"data": 1}
+        assert manifest["selected"]["by"] == "final"
+        backbone, _ = load_checkpoint(corpus_dir / "ckpt" / "checkpoint.npz")
+        assert manifest["config"]["prompt_len_en"] > backbone.dims.vocab
 
     def test_failed_log_write_keeps_earlier_log(self, tmp_path):
         from promptsum.cli import _write_train_log

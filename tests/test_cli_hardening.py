@@ -57,6 +57,28 @@ def test_build_vocab_rejects_non_object_line(tmp_path, capsys):
     assert "line 2" in _single_error(capsys)
 
 
+@pytest.mark.parametrize("damage", ["repeat", "swap", "short"])
+def test_bad_vocab_file_error_names_the_file(setup, capsys, damage):
+    path = setup / "v" / "vocab.txt"
+    tokens = path.read_text().splitlines()
+    if damage == "repeat":
+        tokens.insert(6, tokens[4])
+        message = f"{path}: line 7: token {tokens[4]!r} repeats line 5"
+    elif damage == "swap":
+        tokens[2], tokens[3] = tokens[3], tokens[2]
+        message = f"{path}: line 3: id 2 must be reserved for '<eos>'"
+    else:
+        tokens = tokens[:2]
+        message = f"{path}: line 3: id 2 must be reserved for '<eos>'"
+    path.write_text("\n".join(tokens) + "\n")
+    rc = dispatch([
+        "build-pseudo", "--data", str(setup / "data.jsonl"), "--vocab", str(path),
+        "--strategy", "lead", "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert _single_error(capsys) == f"error: {message}\n"
+
+
 def _damage(raw: bytes, damage: str) -> bytes:
     """One or two bytes of a checkpoint changed; ``embed/pos`` (64, 8) is read in part
     before its CRC is checked, so NumPy parses its damaged header."""
@@ -378,6 +400,19 @@ def test_negative_epochs_is_one_error_line(setup, capsys):
     ])
     assert rc == 1
     assert "epochs must be >= 0, got -3" in _single_error(capsys)
+    assert not (setup / "out" / "checkpoint.npz").exists()
+
+
+@pytest.mark.parametrize("steps, epochs", [("0", "0"), ("-3", "1")])
+def test_warmup_steps_below_one_is_one_error_line(setup, capsys, steps, epochs):
+    rc = dispatch([
+        "pretrain-prompts", "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        "--d", "8", "--layers", "1", "--heads", "2", "--ffn", "16", "--max-pos", "64",
+        "--prompt-len-en", "2", "--prompt-len-de", "2", "--epochs", epochs, "--warmup-steps", steps,
+        "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert f"warmup_steps must be >= 1, got {steps}" in _single_error(capsys)
     assert not (setup / "out" / "checkpoint.npz").exists()
 
 

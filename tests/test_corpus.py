@@ -215,15 +215,15 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(path, vocab, 1024)
 
-    def test_empty_records_skipped_with_warning(self, tmp_path):
+    def test_empty_records_skipped_and_counted(self, tmp_path):
         records = [
             {"document": "The cat sat.", "summary": "cat"},
             {"document": "", "summary": "x"},
         ]
         vocab = build_vocab(["the cat sat"])
-        with pytest.warns(UserWarning, match="skipped 1"):
-            pairs = load_dataset(self._write(tmp_path, records), vocab, 1024)
+        pairs = load_dataset(self._write(tmp_path, records), vocab, 1024)
         assert len(pairs) == 1
+        assert pairs.skipped == 1
 
     def test_skipped_count_travels_with_the_pairs(self, tmp_path):
         records = [
@@ -233,8 +233,7 @@ class TestLoadDataset:
         vocab = build_vocab(["the cat sat"])
         clean = load_dataset(self._write(tmp_path, records[:1]), vocab, 1024)
         assert clean.skipped == 0
-        with pytest.warns(UserWarning, match="skipped 1"):
-            pairs = load_dataset(self._write(tmp_path, records), vocab, 1024)
+        pairs = load_dataset(self._write(tmp_path, records), vocab, 1024)
         assert pairs.skipped == 1
         assert pairs == clean
         assert sample_fewshot(pairs * 2, 1, seed=0).train == (clean[0],)
@@ -242,9 +241,8 @@ class TestLoadDataset:
     def test_all_invalid_raises_empty_dataset(self, tmp_path):
         records = [{"document": "", "summary": ""}]
         vocab = build_vocab(["a"])
-        with pytest.raises(EmptyDatasetError):
-            with pytest.warns(UserWarning):
-                load_dataset(self._write(tmp_path, records), vocab, 1024)
+        with pytest.raises(EmptyDatasetError, match="no valid records"):
+            load_dataset(self._write(tmp_path, records), vocab, 1024)
 
 
 class TestSampleFewshot:

@@ -87,6 +87,19 @@ class TestBeamSearch:
             b = beam_search(backbone, prompts, config, doc, beam=1, max_len=5)
             assert g == b
 
+    def test_beam_one_equals_greedy_when_rounding_ties_cumulative_scores(self, monkeypatch):
+        # After token 7 at -40, token 6 at -1.0 beats token 5 at -1.0 - 1e-15
+        # on the step alone, but both sums round to -41.0: the lower id wins.
+        first, second = np.full(10, -100.0), np.full(10, -100.0)
+        first[7] = -40.0
+        second[6], second[5] = -1.0, -1.0 - 1e-15
+        assert -40.0 + second[6] == -40.0 + second[5]
+        monkeypatch.setattr(decoding, "_next_logprobs", _stub_scorer({(): first, (7,): second}))
+        backbone, prompts, config = tiny_model(vocab=10)
+        doc = make_doc([4])
+        greedy = greedy_decode(backbone, prompts, config, doc, max_len=2)
+        assert greedy == beam_search(backbone, prompts, config, doc, beam=1, max_len=2) == [7, 5]
+
     def test_hand_built_table_where_greedy_is_suboptimal(self, monkeypatch):
         # step 1: a=0.5, b=0.4, EOS=0.1; after a: EOS=0.6; after b: EOS=0.9.
         # Greedy takes [a, EOS] with p=0.30; [b, EOS] has p=0.36 and beam=2

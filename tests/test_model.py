@@ -75,13 +75,18 @@ class TestInitPrompts:
         prompts.p_en.data += 1.0
         np.testing.assert_array_equal(backbone.embed.data, before)
 
-    def test_over_vocab_falls_back_with_warning(self):
+    def test_over_vocab_samples_with_replacement(self):
         dims = ModelDims(d=8, layers=1, heads=2, ffn=16, vocab=5, max_pos=64)
         backbone = init_backbone(dims, 0)
         config = PromptConfig(len_en=8, len_de=8, strategy="none")
-        with pytest.warns(UserWarning, match="replacement"):
-            prompts = init_prompts(config, backbone, seed=0)
-        assert prompts.p_en.data.shape == (8, 8)
+        prompts = init_prompts(config, backbone, seed=0)
+        rows = prompts.p_en.data
+        assert rows.shape == (8, 8)
+        embed = backbone.embed.data
+        sources = [int(np.flatnonzero((embed == row).all(axis=1))[0]) for row in rows]
+        assert len(set(sources)) < len(sources)  # 8 rows from 5 tokens repeat some
+        expected = np.random.default_rng(0).choice(dims.vocab, size=8, replace=True)
+        assert sources == expected.tolist()
 
     def test_strategy_none_has_no_inner_table(self):
         _, prompts, _ = tiny_model(strategy="none")

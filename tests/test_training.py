@@ -181,6 +181,11 @@ class TestTrainStep:
         with pytest.raises(ValueError, match=name):
             _quick_config(**setting)
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_warmup_steps_below_one_rejected(self, steps):
+        with pytest.raises(ValueError, match=f"warmup_steps must be >= 1, got {steps}"):
+            _quick_config(warmup_steps=steps)
+
     def test_deterministic_loss_curves(self):
         def run():
             backbone, prompts, _ = tiny_model(prompt_seed=9)
@@ -428,12 +433,13 @@ class TestRunStage:
         with pytest.raises(ValueError, match="empty"):
             run_stage("pretrain", [], [], state, backbone, config)
 
-    def test_no_dev_warns_and_returns_final(self):
+    def test_no_dev_returns_final(self):
         backbone, prompts, _ = tiny_model()
         config = _quick_config(epochs=2)
         state = init_train_state(prompts, backbone, config)
-        with pytest.warns(UserWarning, match="dev"):
-            run_stage("pretrain", _pairs(4), [], state, backbone, config)
+        state = run_stage("pretrain", _pairs(4), [], state, backbone, config)
+        assert state.selected == {"by": "final", "epoch": 2}
+        assert not [e for e in state.loss_history if "dev_rouge1" in e]
 
     def test_loss_decreases_on_lead_corpus(self):
         # summaries equal the first sentence: prompts can learn the copy bias
@@ -447,8 +453,8 @@ class TestRunStage:
         config = _quick_config(epochs=25, batch=6, peak_lr=2e-2, seed=1)
         state = init_train_state(prompts, backbone, config)
         initial, _ = batch_mean_nll(backbone, prompts, pconfig, pairs)
-        with pytest.warns(UserWarning, match="no dev set"):
-            state = run_stage("pretrain", pairs, [], state, backbone, config)
+        state = run_stage("pretrain", pairs, [], state, backbone, config)
+        assert state.selected == {"by": "final", "epoch": 25}
         final, _ = batch_mean_nll(backbone, state.prompts, pconfig, pairs)
         assert final.item() < initial.item()
 
@@ -456,8 +462,8 @@ class TestRunStage:
         backbone, prompts, _ = tiny_model()
         config = _quick_config(warmup_steps=None, warmup_ratio=0.5, epochs=2)
         state = init_train_state(prompts, backbone, config)
-        with pytest.warns(UserWarning, match="no dev set"):
-            state = run_stage("pretrain", _pairs(2), [], state, backbone, config)
+        state = run_stage("pretrain", _pairs(2), [], state, backbone, config)
+        assert state.selected == {"by": "final", "epoch": 2}
         # 2 epochs x 1 step each, 50% ratio -> warmup_steps 1: peak hit at step 1
         assert state.loss_history[0]["lr"] == pytest.approx(config.peak_lr)
 
