@@ -38,6 +38,7 @@ from .corpus import (
     encode_document,
     load_dataset,
     load_vocab,
+    read_lines,
     read_records,
     sample_fewshot,
     save_vocab,
@@ -94,15 +95,14 @@ def _parse_value(raw: str):
 def load_config_file(path) -> dict:
     """Parse 'key = value' lines; '#' starts a comment."""
     cfg: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}: line {lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = _parse_value(value)
+    for lineno, line in read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}: line {lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = _parse_value(value)
     return cfg
 
 
@@ -131,8 +131,10 @@ def resolve_config(args, command: _Command) -> dict:
         overlay = load_config_file(args.config)
         for key, value in overlay.items():
             want = types.get(key)
+            if want is None:
+                raise CliError(f"{args.config}: unknown key {key}")
             # An int is a valid float; a bool is not an int here.
-            if want and type(value) is not want and not (want is float and type(value) is int):
+            if type(value) is not want and not (want is float and type(value) is int):
                 raise CliError(f"{args.config}: {key} must be {want.__name__}, got {value!r}")
             _check_seed(key, value, f"{args.config}: {key}")
         _overlay(cfg, overlay, {key: key for key in overlay}, f"{args.config}: ")
@@ -305,10 +307,9 @@ def _used(pool: list, chosen) -> list[tuple[int, SummaryPair]]:
     return [(i, pair) for i, pair in enumerate(pool) if id(pair) in ids]
 
 
-def _train(args, cfg: dict, prompts, backbone, train: list, dev: list):
-    stage = _COMMANDS[args.command].stage
-    tc = _train_config(cfg, stage)
-    return run_stage(stage, train, dev, init_train_state(prompts, backbone, tc), backbone, tc)
+def _train(args, prompts, backbone, train: list, dev: list):
+    tc = args.train_config  # built by dispatch, before the run
+    return run_stage(train, dev, init_train_state(prompts, backbone, tc), backbone, tc)
 
 
 def _save_trained(args, backbone, state, what: str, run: dict) -> None:
@@ -345,14 +346,6 @@ def cmd_build_vocab(args, cfg: dict, run: dict) -> None:
     vocab = build_vocab(texts, min_freq=args.min_freq)
     save_vocab(vocab, os.path.join(args.out, "vocab.txt"))
     print(f"vocab: {len(vocab)} tokens")
-
-
-def _check_filter(args) -> None:
-    """``--filter`` defaults to on exactly when a few-shot file is given."""
-    if args.filter is None:
-        args.filter = args.fewshot is not None
-    if args.filter and not args.fewshot:
-        raise CliError("--filter requires --fewshot for the threshold")
 
 
 def cmd_build_pseudo(args, cfg: dict, run: dict) -> None:
@@ -392,7 +385,7 @@ def cmd_build_pseudo(args, cfg: dict, run: dict) -> None:
         "n_fewshot_skipped": None,
         "n_output": len(pairs),
     }
-    if args.filter:
+    if args.fewshot:
         fewshot = _load(args, "fewshot", vocab, cfg, run)
         threshold = compute_filter_threshold(fewshot)
         pairs = filter_pseudo(pairs, threshold)
@@ -433,7 +426,7 @@ def cmd_pretrain_backbone(args, cfg: dict, run: dict) -> None:
     config = PromptConfig(len_en=0, len_de=0, strategy="none")
     check_lengths(enumerate(data), config, backbone.dims.max_pos, "--data")
     prompts = init_prompts(config, backbone, cfg["seed"])
-    state = _train(args, cfg, prompts, backbone, data, [])
+    state = _train(args, prompts, backbone, data, [])
     _save_trained(args, backbone, state, "pretrained backbone", run)
 
 
@@ -446,7 +439,7 @@ def cmd_pretrain_prompts(args, cfg: dict, run: dict) -> None:
     check_lengths(enumerate(data), config, backbone.dims.max_pos, "--data")
     check_lengths(enumerate(dev), config, backbone.dims.max_pos, "--dev")
     prompts = init_prompts(config, backbone, cfg["seed"])
-    state = _train(args, cfg, prompts, backbone, data, dev)
+    state = _train(args, prompts, backbone, data, dev)
     _save_trained(args, backbone, state, "pretrained prompts", run)
 
 
@@ -465,7 +458,7 @@ def cmd_finetune(args, cfg: dict, run: dict) -> None:
         split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
         train, dev = list(split.train), list(split.dev)
         check_lengths(_used(pairs, train + dev), prompts.config, max_pos, "--data")
-    state = _train(args, cfg, prompts, backbone, train, dev)
+    state = _train(args, prompts, backbone, train, dev)
     _save_trained(args, backbone, state, "finetuned", run)
 
 
@@ -477,11 +470,6 @@ def cmd_generate(args, cfg: dict, run: dict) -> None:
     )
     write_predictions(os.path.join(args.out, "predictions.jsonl"), records)
     print(f"generated {len(records)} summaries")
-
-
-def _check_zero_shot_checkpoint(args) -> None:
-    if not os.path.exists(args.checkpoint):
-        raise CliError(f"missing pretrained-prompts checkpoint: {args.checkpoint}")
 
 
 def cmd_evaluate(args, cfg: dict, run: dict) -> None:
@@ -561,7 +549,7 @@ def cmd_ablate(args, cfg: dict, run: dict) -> None:
         if config not in reports:
             backbone = _backbone_from_args(args, cfg, vocab)
             prompts = init_prompts(config, backbone, cfg["seed"])
-            state = _train(args, cfg, prompts, backbone, list(split.train), list(split.dev))
+            state = _train(args, prompts, backbone, list(split.train), list(split.dev))
             reports[config], _ = evaluate(
                 backbone, state.prompts, config, list(split.dev), cfg["beam"], cfg["max_len"]
             )
@@ -640,9 +628,8 @@ class _Command(NamedTuple):
     handler: Callable[[argparse.Namespace, dict, dict], None]
     outputs: tuple[str, ...]  # files the run writes into --out
     flags: tuple  # after the common flags, in help order
-    check: Callable[[argparse.Namespace], None] | None = None  # before --out is created
     mode: str | None = None  # training mode the command fixes in the config
-    stage: str | None = None  # the stage of its training keys and of run_stage
+    stage: str | None = None  # the stage of its training keys
 
 
 # Dests of the flags that name an input file; the manifest records every
@@ -667,10 +654,8 @@ _COMMANDS = {
             _flag("--lead-n", type=int),
             _flag("--min-sum", type=int),
             _flag("--target-sum", type=int),
-            _flag("--filter", action=argparse.BooleanOptionalAction, default=None),
-            _flag("--fewshot", help="few-shot file for the filter threshold"),
+            _flag("--fewshot", help="few-shot file; when given, pairs under its threshold are dropped"),
         ),
-        check=_check_filter,
     ),
     "pretrain-backbone": _Command(
         "full-model training of the toy backbone", cmd_pretrain_backbone, _TRAINED,
@@ -698,7 +683,6 @@ _COMMANDS = {
     "zero-shot": _Command(
         "evaluate pretrained prompts without finetuning", cmd_evaluate, _EVALUATED,
         (*_VOCAB_FLAGS, *_DECODE_FLAGS, _CHECKPOINT, _DATA),
-        check=_check_zero_shot_checkpoint,
     ),
     "probe-attention": _Command(
         "export a cross-attention matrix", cmd_probe_attention, ("attention.txt",),
@@ -736,9 +720,13 @@ def dispatch(argv=None) -> int:
         args = build_parser().parse_args(argv)
         command = _COMMANDS[args.command]
         cfg = resolve_config(args, command)
-        if command.check:
-            command.check(args)
+        # Every check that needs no data or model work comes before --out is created.
         inputs = {dest: getattr(args, dest) for dest in _INPUTS if hasattr(args, dest)}
+        for dest, path in inputs.items():
+            if path is not None and not os.path.exists(path):
+                raise CliError(f"--{dest} {path}: no such file")
+        if command.stage:
+            args.train_config = _train_config(cfg, command.stage)
         with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:
             command.handler(args, cfg, run)
     except SystemExit as exc:  # --help; argument errors raise CliError instead
@@ -755,3 +743,7 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -94,8 +94,7 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 def load_vocab(path) -> Vocab:
     """Read a vocabulary written by ``save_vocab``; every error names the file."""
-    with open(path, encoding="utf-8") as fh:
-        id_to_token = tuple(line.rstrip("\n") for line in fh)
+    id_to_token = tuple(line.rstrip("\r\n") for _, line in read_lines(path))
     for i, tok in enumerate(RESERVED_TOKENS):
         if id_to_token[i : i + 1] != (tok,):
             raise CorpusError(f"{path}: line {i + 1}: id {i} must be reserved for {tok!r}")
@@ -153,7 +152,6 @@ class SummaryPair:
 class FewShotSplit:
     train: tuple[SummaryPair, ...]
     dev: tuple[SummaryPair, ...]
-    seed: int
 
 
 def split_sentences(text: str) -> list[str]:
@@ -241,19 +239,30 @@ def encode_summary(text: str, vocab: Vocab) -> tuple[int, ...]:
     return tuple(ids) + (EOS_ID,)
 
 
+def read_lines(path):
+    """(line number, text) for every line of a UTF-8 file, split at newlines only (a
+    carriage return stays in the text); a line that is not UTF-8 is a ``ParseError``
+    naming the file and the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: line {lineno}: not UTF-8: {exc.reason}") from None
+
+
 def read_records(path):
     """(line number, record) for every non-blank JSONL line; each must be an object."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: line {lineno}: invalid record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}: line {lineno}: record must be a JSON object")
-            yield lineno, record
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {lineno}: invalid record: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}: line {lineno}: record must be a JSON object")
+        yield lineno, record
 
 
 @contextmanager
@@ -326,4 +335,4 @@ def sample_fewshot(pairs: list[SummaryPair], size: int, seed: int) -> FewShotSpl
     perm = rng.permutation(len(pairs))
     train = tuple(pairs[i] for i in perm[:size])
     dev = tuple(pairs[i] for i in perm[size : 2 * size])
-    return FewShotSplit(train, dev, seed)
+    return FewShotSplit(train, dev)

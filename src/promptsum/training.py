@@ -302,7 +302,6 @@ def _dev_rouge1(
 
 
 def run_stage(
-    stage: str,
     data: list[SummaryPair],
     dev: list[SummaryPair],
     state: TrainState,
@@ -318,8 +317,6 @@ def run_stage(
     final checkpoint is returned. Either way ``state.selected`` records the
     choice: ``{"by": "dev_rouge1" | "final", "epoch": n}``.
     """
-    if stage not in ("pretrain", "finetune"):
-        raise ValueError(f"unknown stage {stage!r}")
     if not data:
         raise ValueError("training data is empty")
     if config.epochs == 0:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import promptsum
+from promptsum import cli
 from promptsum.cli import dispatch
 from promptsum.corpus import load_vocab
 from promptsum.model import ModelDims, PromptConfig, init_backbone, init_prompts, save_checkpoint
@@ -282,6 +283,7 @@ def test_probe_attention_checks_its_pair_before_encoding(setup, capsys, monkeypa
         "backbone_seed = 0.5",
         "pretrain_warmup_steps = 0.1",
         "finetune_warmup_ratio = none",
+        "finetune_warmup_ratoi = 0.1",  # no such key
     ],
 )
 def test_config_value_of_the_wrong_type(setup, capsys, line):
@@ -426,6 +428,67 @@ def test_pseudo_summary_size_below_one(setup, capsys, strategy, flag, name, valu
     assert rc == 1
     assert f"{name} must be >= 1, got {value}" in _single_error(capsys)
     assert not (setup / "out" / "pseudo.jsonl").exists()
+
+
+# An existing file for each input flag, by dest.
+_INPUT_FILES = {
+    "data": "data.jsonl", "vocab": "v/vocab.txt", "checkpoint": "ckpt.npz", "backbone": "ckpt.npz",
+    "train": "data.jsonl", "dev": "data.jsonl", "fewshot": "data.jsonl",
+}
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        (name, flag[2:])
+        for name, spec in cli._COMMANDS.items()
+        for flag, _ in spec.flags
+        if flag[2:] in cli._INPUTS
+    ],
+)
+def test_missing_input_is_refused_before_the_run(setup, capsys, command, missing):
+    argv = [command, "--out", str(setup / "out")] + (["--strategy", "lead"] if command == "build-pseudo" else [])
+    for flag, _ in cli._COMMANDS[command].flags:
+        if flag[2:] in cli._INPUTS:
+            argv += [flag, str(setup / ("gone" if flag[2:] == missing else _INPUT_FILES[flag[2:]]))]
+    assert dispatch(argv) == 1
+    assert _single_error(capsys) == f"error: --{missing} {setup / 'gone'}: no such file\n"
+    assert not (setup / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [(["--warmup-steps", "0"], "warmup_steps must be >= 1, got 0"), (["--peak-lr", "-1"], "peak_lr must be finite")],
+    ids=["warmup-steps", "peak-lr"],
+)
+@pytest.mark.parametrize("command", ["pretrain-prompts", "finetune", "ablate"])
+def test_bad_training_setting_is_refused_before_the_run(setup, capsys, command, setting, message):
+    extra = {
+        "pretrain-prompts": _NEW_MODEL,
+        "finetune": ["--checkpoint", str(setup / "ckpt.npz"), "--fewshot-size", "2"],
+        "ablate": [*_NEW_MODEL, "--fewshot-size", "2"],
+    }[command]
+    rc = dispatch([
+        command, *extra, "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        *setting, "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert message in _single_error(capsys)
+    assert not (setup / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--data", "--vocab", "--config"])
+def test_non_utf8_input_names_the_file_and_line(setup, capsys, flag):
+    paths = {"--data": setup / "data.jsonl", "--vocab": setup / "v" / "vocab.txt", "--config": setup / "run.cfg"}
+    paths["--config"].write_text("beam = 2\nd = 8\n")
+    lines = paths[flag].read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    paths[flag].write_bytes(b"\n".join(lines))
+    argv = ["build-pseudo", "--strategy", "lead", "--out", str(setup / "out")]
+    for name, path in paths.items():
+        argv += [name, str(path)]
+    assert dispatch(argv) == 1
+    assert _single_error(capsys) == f"error: {paths[flag]}: line 2: not UTF-8: invalid start byte\n"
 
 
 def test_manifest_records_every_input_file(setup):

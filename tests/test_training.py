@@ -415,29 +415,22 @@ class TestRunStage:
         config = _quick_config(epochs=0)
         state = init_train_state(prompts, backbone, config)
         before = prompts.p_en.data.copy()
-        out = run_stage("pretrain", _pairs(4), [], state, backbone, config)
+        out = run_stage(_pairs(4), [], state, backbone, config)
         assert out is state
         np.testing.assert_array_equal(prompts.p_en.data, before)
-
-    def test_unknown_stage_rejected(self):
-        backbone, prompts, _ = tiny_model()
-        config = _quick_config()
-        state = init_train_state(prompts, backbone, config)
-        with pytest.raises(ValueError, match="stage"):
-            run_stage("warmup", _pairs(2), [], state, backbone, config)
 
     def test_empty_data_rejected(self):
         backbone, prompts, _ = tiny_model()
         config = _quick_config()
         state = init_train_state(prompts, backbone, config)
         with pytest.raises(ValueError, match="empty"):
-            run_stage("pretrain", [], [], state, backbone, config)
+            run_stage([], [], state, backbone, config)
 
     def test_no_dev_returns_final(self):
         backbone, prompts, _ = tiny_model()
         config = _quick_config(epochs=2)
         state = init_train_state(prompts, backbone, config)
-        state = run_stage("pretrain", _pairs(4), [], state, backbone, config)
+        state = run_stage(_pairs(4), [], state, backbone, config)
         assert state.selected == {"by": "final", "epoch": 2}
         assert not [e for e in state.loss_history if "dev_rouge1" in e]
 
@@ -453,7 +446,7 @@ class TestRunStage:
         config = _quick_config(epochs=25, batch=6, peak_lr=2e-2, seed=1)
         state = init_train_state(prompts, backbone, config)
         initial, _ = batch_mean_nll(backbone, prompts, pconfig, pairs)
-        state = run_stage("pretrain", pairs, [], state, backbone, config)
+        state = run_stage(pairs, [], state, backbone, config)
         assert state.selected == {"by": "final", "epoch": 25}
         final, _ = batch_mean_nll(backbone, state.prompts, pconfig, pairs)
         assert final.item() < initial.item()
@@ -462,7 +455,7 @@ class TestRunStage:
         backbone, prompts, _ = tiny_model()
         config = _quick_config(warmup_steps=None, warmup_ratio=0.5, epochs=2)
         state = init_train_state(prompts, backbone, config)
-        state = run_stage("pretrain", _pairs(2), [], state, backbone, config)
+        state = run_stage(_pairs(2), [], state, backbone, config)
         assert state.selected == {"by": "final", "epoch": 2}
         # 2 epochs x 1 step each, 50% ratio -> warmup_steps 1: peak hit at step 1
         assert state.loss_history[0]["lr"] == pytest.approx(config.peak_lr)
@@ -475,7 +468,7 @@ class TestRunStage:
         state = init_train_state(prompts, backbone, config)
         scores = iter([0.5, 0.9, 0.2])
         monkeypatch.setattr(tr, "_dev_rouge1", lambda b, p, c, d: next(scores))
-        state = run_stage("finetune", _pairs(4, seed=1), _pairs(2, seed=2), state, backbone, config)
+        state = run_stage(_pairs(4, seed=1), _pairs(2, seed=2), state, backbone, config)
         epochs = [e for e in state.loss_history if "epoch" in e]
         assert epochs == [
             {"epoch": 1, "dev_rouge1": 0.5},
@@ -505,7 +498,7 @@ class TestRunStage:
 
         tr._dev_rouge1 = fake_dev
         try:
-            state = run_stage("finetune", train, dev, state, backbone, config)
+            state = run_stage(train, dev, state, backbone, config)
         finally:
             tr._dev_rouge1 = original
         # epoch 2 scored best; returned prompts must match that snapshot
