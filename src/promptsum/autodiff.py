@@ -5,7 +5,8 @@ records its parent tensors and a backward closure, and ``Tensor.backward()``
 walks the recorded graph in reverse topological order. Inside ``no_grad()``
 no operation records anything, so inference builds no tape. ``linear`` is
 one node for ``x @ w + b``, and ``attention`` one fused node for multi-head
-softmax attention over rows, which works in place on a single score buffer.
+softmax attention over rows, which works in place on a single score buffer
+and keeps none for its backward.
 All arithmetic runs in float64 so that gradients can be checked
 against central finite differences and training runs are bitwise
 reproducible.
@@ -339,10 +340,10 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -3, -2).reshape(a.shape[:-3] + (a.shape[-2], a.shape[-3] * a.shape[-1]))
 
 
-# The attention backward works on the score gradients of as many heads at a
-# time as fit in this many bytes, so that the block stays in a core's L2
-# cache beside the same heads of e. One head of 300 x 300 scores is 720 KB,
-# four of them 2.9 MB.
+# The attention backward rebuilds e and works on the score gradients of as
+# many heads at a time as fit in this many bytes, so that both blocks stay in
+# a core's L2 cache. One head of 300 x 300 scores is 720 KB, four of them
+# 2.9 MB.
 _BLOCK_BYTES = 512 * 1024
 
 # exp overflows past 709.78 and leaves the normal range below -708.4.
@@ -373,21 +374,25 @@ def attention(
     one node.
     No pass over a ``[t_q, t_k]`` score block goes to a constant or to a
     normalisation: ``scale`` multiplies ``q`` forward and ``gq``/``gk``
-    backward, and the unnormalised ``e = exp(s - m)`` is kept, with its row
-    sums ``z`` dividing the products ``e @ v`` and ``g`` instead. The shift
-    ``m`` is the row max only when an ``exp`` could overflow or underflow:
-    when ``max‖q_i·scale‖ · max‖k_j‖`` (over every head of a batch row)
-    reaches 700, or for a single query row; otherwise it is 0 and the max
-    pass is skipped.
+    backward, and the unnormalised ``e = exp(s - m)`` has its row sums ``z``
+    divide the products ``e @ v`` and ``g`` instead. The shift ``m`` is the
+    row max only when an ``exp`` could overflow or underflow: when
+    ``max‖q_i·scale‖ · max‖k_j‖`` (over every head of a batch row) reaches
+    700, or for a single query row; otherwise the row is not shifted and the
+    max pass is skipped.
     ``mask`` entries are 0 or a large negative number. The softmax
     backward's row sums ``Σ_j p_ij (g_i·v_j)`` are taken as ``g_i·out_i``,
-    which they equal. The backward runs on as many heads at a time as fit
-    in ``_BLOCK_BYTES`` (one head of a long input): each block of ``e`` gives
-    the value gradient and then scales that block's score gradients, held in
-    one reused buffer, while both are in cache. A normalised copy of the probabilities, [..., heads, t_q, t_k],
-    is appended to ``capture`` when one is given. The results agree with the
-    chain ``matmul``, ``scale``, ``add``, softmax, ``matmul`` per head up to
-    rounding, not bit for bit.
+    which they equal. The tape keeps no ``[..., heads, t_q, t_k]`` array:
+    the forward's ``e`` is freed when the call returns, and the backward
+    keeps only ``q·scale``, the head views of ``k`` and ``v``, the output,
+    ``z`` and the shifted rows' ``m``. It rebuilds ``e`` for as many heads at
+    a time as fit in ``_BLOCK_BYTES`` (one head of a long input), by the
+    forward's own ops on those heads, so bit for bit; each block gives the
+    value gradient and then scales that block's score gradients while both
+    are in cache. Both blocks are reused buffers. A normalised copy of the
+    probabilities, [..., heads, t_q, t_k], is appended to ``capture`` when
+    one is given. The results agree with the chain ``matmul``, ``scale``,
+    ``add``, softmax, ``matmul`` per head up to rounding, not bit for bit.
     """
     qh, kh, vh = _heads(q.data, heads), _heads(k.data, heads), _heads(v.data, heads)
     kt = np.swapaxes(kh, -1, -2)
@@ -400,16 +405,22 @@ def attention(
     # per batch row, so that no row's result depends on the others in the
     # call. A single query row costs less to shift than to check.
     shift = True if e.shape[-2] == 1 else _max_sq_norm(qs) * _max_sq_norm(kh) >= _EXP_BOUND**2
+    # The rows shifted by their max ``m``: all of them (...), the batch rows
+    # a boolean mask picks, or none.
+    shifted = m = None
     if np.all(shift):
-        e -= e.max(axis=-1, keepdims=True)
+        shifted, m = ..., e.max(axis=-1, keepdims=True)
+        e -= m
     elif np.any(shift):
-        e[shift] -= e[shift].max(axis=-1, keepdims=True)
+        shifted, m = shift, e[shift].max(axis=-1, keepdims=True)
+        e[shifted] -= m
     np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
     if capture is not None:
         capture.append(e / z)
     out_h = e @ vh
     out_h /= z
+    e_shape, head_bytes = e.shape, e.nbytes // heads
 
     def backward(g):
         gn = _heads(g, heads) / z
@@ -417,23 +428,34 @@ def attention(
         vt = np.swapaxes(vh, -1, -2)
         # Filled one block of heads at a time, then summed over broadcast axes.
         gq = np.empty(out_h.shape) if q.requires_grad else None
-        gk = np.empty(e.shape[:-2] + kt.shape[-2:]) if k.requires_grad else None
+        gk = np.empty(e_shape[:-2] + kt.shape[-2:]) if k.requires_grad else None
         gv = np.empty(out_h.shape[:-2] + vh.shape[-2:]) if v.requires_grad else None
-        step = max(1, _BLOCK_BYTES // (e.nbytes // heads))
-        gs = np.empty(e.shape[:-3] + (min(step, heads),) + e.shape[-2:])
+        step = max(1, _BLOCK_BYTES // head_bytes)
+        block_shape = e_shape[:-3] + (min(step, heads),) + e_shape[-2:]
+        eb_buf, gs_buf = np.empty(block_shape), np.empty(block_shape)
         for h in range(0, heads, step):
             hs = (..., slice(h, h + step), slice(None), slice(None))
-            block = gs[..., : min(step, heads - h), :, :]
+            n = min(step, heads - h)
+            eb, gs = eb_buf[..., :n, :, :], gs_buf[..., :n, :, :]
+            # e of these heads, by the forward's ops in its order.
+            np.matmul(qs[hs], kt[hs], out=eb)
+            if mask is not None:
+                eb += mask
+            if shifted is ...:
+                eb -= m[hs]
+            elif shifted is not None:
+                eb[shifted] -= m[hs]
+            np.exp(eb, out=eb)
             if gv is not None:
-                np.matmul(np.swapaxes(e[hs], -1, -2), gn[hs], out=gv[hs])
-            # Softmax backward in place on the reused buffer: (gn·v_j - gn·out) * e.
-            np.matmul(gn[hs], vt[hs], out=block)
-            block -= gn_out[hs]
-            block *= e[hs]
+                np.matmul(np.swapaxes(eb, -1, -2), gn[hs], out=gv[hs])
+            # Softmax backward in place: (gn·v_j - gn·out) * e.
+            np.matmul(gn[hs], vt[hs], out=gs)
+            gs -= gn_out[hs]
+            gs *= eb
             if gq is not None:
-                np.matmul(block, kh[hs], out=gq[hs])
+                np.matmul(gs, kh[hs], out=gq[hs])
             if gk is not None:
-                np.matmul(np.swapaxes(qh[hs], -1, -2), block, out=gk[hs])
+                np.matmul(np.swapaxes(qh[hs], -1, -2), gs, out=gk[hs])
         return (
             _rows(_unbroadcast(gq, qh.shape) * scale) if gq is not None else None,
             _rows(np.swapaxes(_unbroadcast(gk, kt.shape), -1, -2) * scale) if gk is not None else None,

@@ -451,9 +451,7 @@ def cmd_finetune(args, cfg: dict, run: dict) -> None:
         dev = _load(args, "dev", vocab, cfg, run) if args.dev else []
         check_lengths(enumerate(train), prompts.config, max_pos, "--train")
         check_lengths(enumerate(dev), prompts.config, max_pos, "--dev")
-    else:
-        if not args.data:
-            raise CliError("provide --data (with --fewshot-size) or --train/--dev")
+    else:  # dispatch has checked that --data is given
         pairs = _load(args, "data", vocab, cfg, run)
         split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
         train, dev = list(split.train), list(split.dev)
@@ -725,6 +723,15 @@ def dispatch(argv=None) -> int:
         for dest, path in inputs.items():
             if path is not None and not os.path.exists(path):
                 raise CliError(f"--{dest} {path}: no such file")
+        if args.command == "finetune":
+            if args.data is None and args.train is None:
+                raise CliError("provide --data (with --fewshot-size) or --train/--dev")
+            if args.data is not None and (args.train is not None or args.dev is not None):
+                raise CliError("give --data or --train/--dev, not both")
+        if hasattr(args, "beam"):  # the commands that decode
+            for key in ("beam", "max_len"):
+                if cfg[key] < 1:
+                    raise CliError(f"{key} must be >= 1, got {cfg[key]}")
         if command.stage:
             args.train_config = _train_config(cfg, command.stage)
         with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:

@@ -420,18 +420,71 @@ def test_attention_matches_the_unfused_chain(case):
         assert (leaf.grad is None and one.grad is None) or leaf.grad.tobytes() == one.grad.tobytes()
 
 
+@pytest.mark.parametrize("block_bytes", [ad._BLOCK_BYTES, 1], ids=["one block", "a block per head"])
 @pytest.mark.parametrize("shared_kv", [False, True], ids=["own K/V", "shared K/V"])
-def test_a_batch_row_past_the_exp_bound_leaves_the_other_rows_bitwise(shared_kv):
+def test_a_batch_row_past_the_exp_bound_leaves_the_other_rows_bitwise(monkeypatch, shared_kv, block_bytes):
+    # The backward rebuilds e and shifts the shifted rows only: each batch
+    # row's output and gradients are those of the row attending alone.
+    monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(3)
     q = rng.normal(size=(2, 3, 8))
     q[1] *= 300.0  # row 1 passes the bound, row 0 stays far below it
     kv_shape = (4, 8) if shared_kv else (2, 4, 8)
     k, v = rng.normal(size=kv_shape), rng.normal(size=kv_shape)
-    out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.5)
+    w = rng.normal(size=q.shape)
+
+    def run(q, k, v, w):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+        out = ad.attention(*leaves, 2, 0.5)
+        _total(ad.mul(out, Tensor(w))).backward()
+        return out.data, [leaf.grad for leaf in leaves]
+
     for b in range(2):
+        # The loss reads batch row b alone, so shared K/V gradients are row b's too.
+        wb = np.zeros_like(w)
+        wb[b] = w[b]
+        out, (gq, gk, gv) = run(q, k, v, wb)
         kb, vb = (k, v) if shared_kv else (k[b], v[b])
-        row = ad.attention(Tensor(q[b]), Tensor(kb), Tensor(vb), 2, 0.5)
-        assert out.data[b].tobytes() == row.data.tobytes()
+        row_out, (row_gq, row_gk, row_gv) = run(q[b], kb, vb, w[b])
+        assert out[b].tobytes() == row_out.tobytes()
+        assert gq[b].tobytes() == row_gq.tobytes()
+        for batched, row in ((gk, row_gk), (gv, row_gv)):
+            assert (batched if shared_kv else batched[b]).tobytes() == row.tobytes()
+
+
+def _arrays_reachable(closure) -> list[np.ndarray]:
+    """Every ndarray a backward closure's cells reach, through tensors, tuples,
+    lists and the bases of views."""
+    arrays, seen = [], set()
+    stack = [cell.cell_contents for cell in closure]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+            stack.append(x.base)
+        elif isinstance(x, Tensor):
+            stack.append(x.data)
+        elif isinstance(x, (tuple, list)):
+            stack.extend(x)
+    return arrays
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["unshifted", "shifted, causal"])
+def test_the_tape_keeps_no_score_buffer(shifted):
+    # The encoder's shape: 300 rows of d 64 in 4 heads. With scale 100 every
+    # row passes the exp bound, so the closure keeps the shift m beside z.
+    t, d, heads = 300, 64, 4
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.normal(size=(t, d)), requires_grad=True) for _ in range(3))
+    out = ad.attention(q, k, v, heads, 100.0 if shifted else 0.125, _causal_mask(t) if shifted else None)
+    arrays = _arrays_reachable(out._backward.__closure__)
+    assert sum(a.shape == (heads, t, 1) for a in arrays) == (2 if shifted else 1)
+    assert max(a.size for a in arrays) < heads * t * t
+    _total(out).backward()
+    assert all(np.isfinite(x.grad).all() for x in (q, k, v))
 
 
 @pytest.mark.parametrize(

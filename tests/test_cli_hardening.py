@@ -477,6 +477,50 @@ def test_bad_training_setting_is_refused_before_the_run(setup, capsys, command, 
     assert not (setup / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [(["--beam", "0"], "beam must be >= 1, got 0"), (["--max-len", "-1"], "max_len must be >= 1, got -1")],
+    ids=["beam-zero", "max-len-negative"],
+)
+@pytest.mark.parametrize(
+    "command", [name for name, spec in cli._COMMANDS.items() if cli._DECODE_FLAGS[0] in spec.flags]
+)
+def test_bad_decode_setting_is_refused_before_the_run(setup, capsys, command, setting, message):
+    extra = [*_NEW_MODEL, "--fewshot-size", "2"] if command == "ablate" else ["--checkpoint", str(setup / "ckpt.npz")]
+    rc = dispatch([
+        command, *extra, "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        *setting, "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert _single_error(capsys) == f"error: {message}\n"
+    assert not (setup / "out").exists()
+
+
+_NO_SOURCE = "provide --data (with --fewshot-size) or --train/--dev"
+_TWO_SOURCES = "give --data or --train/--dev, not both"
+
+
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        ([], _NO_SOURCE),
+        (["--dev"], _NO_SOURCE),
+        (["--data", "--train"], _TWO_SOURCES),
+        (["--data", "--dev"], _TWO_SOURCES),
+    ],
+    ids=["none", "dev only", "data and train", "data and dev"],
+)
+def test_finetune_takes_data_or_a_train_split_before_the_run(setup, capsys, sources, message):
+    # --data beside --train or --dev would name a file that is never read.
+    rc = dispatch([
+        "finetune", "--checkpoint", str(setup / "ckpt.npz"), "--vocab", str(setup / "v" / "vocab.txt"),
+        *(arg for flag in sources for arg in (flag, str(setup / "data.jsonl"))), "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert _single_error(capsys) == f"error: {message}\n"
+    assert not (setup / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--data", "--vocab", "--config"])
 def test_non_utf8_input_names_the_file_and_line(setup, capsys, flag):
     paths = {"--data": setup / "data.jsonl", "--vocab": setup / "v" / "vocab.txt", "--config": setup / "run.cfg"}
