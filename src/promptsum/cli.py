@@ -46,7 +46,6 @@ from .corpus import (
     tokenize,
     truncate_document,
 )
-from .decoding import _check_lengths as check_decode_lengths
 from .evaluation import evaluate, export_attention, generate_predictions, write_predictions
 from .model import (
     STRATEGIES,
@@ -537,7 +536,7 @@ def cmd_ablate(args, cfg: dict, run: dict) -> None:
     used = _used(pairs, split.train + split.dev)
     for _, config in variants:
         check_lengths(used, config, backbone.dims.max_pos, "--data")
-        check_decode_lengths(backbone, config, cfg["max_len"], cfg["beam"])
+        check_rows(config, backbone.dims.max_pos, targets=cfg["max_len"], where=f"max_len {cfg['max_len']}: ")
 
     # Variants of one prompt config (placement=both and strategy=none; a k-grid value
     # equal to k) train once, each from the backbone as built: full_model tunes it.
@@ -728,10 +727,14 @@ def dispatch(argv=None) -> int:
                 raise CliError("provide --data (with --fewshot-size) or --train/--dev")
             if args.data is not None and (args.train is not None or args.dev is not None):
                 raise CliError("give --data or --train/--dev, not both")
-        if hasattr(args, "beam"):  # the commands that decode
-            for key in ("beam", "max_len"):
-                if cfg[key] < 1:
-                    raise CliError(f"{key} must be >= 1, got {cfg[key]}")
+        for key in ("beam", "max_len", "max_src_tokens"):
+            if hasattr(args, key) and cfg[key] < 1:
+                raise CliError(f"{key} must be >= 1, got {cfg[key]}")
+        if hasattr(args, "fewshot_size") and args.data is not None and cfg["fewshot_size"] < 1:
+            raise CliError(f"few-shot size must be >= 1, got {cfg['fewshot_size']}")
+        for k in getattr(args, "k_grid", None) or ():
+            if k < 1:
+                raise CliError(f"--k-grid values must be >= 1, got {k}")
         if command.stage:
             args.train_config = _train_config(cfg, command.stage)
         with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:

@@ -1,10 +1,13 @@
-"""Greedy and beam-search generation against the prompted model.
+"""Beam-search generation against the prompted model; greedy decoding is
+beam search at width 1.
 
 Beam search is length-unnormalized: hypotheses carry raw cumulative
 log-probabilities, a hypothesis finishes when it emits EOS, and the best
 finished hypothesis wins (best unfinished as fallback). Ties break toward
 the lower token id, then the earlier beam slot, so decoding is fully
-deterministic.
+deterministic. Each step cuts the candidates to those scoring at least the
+beam-th best with ``np.partition`` and ranks the few that survive in
+Python, by (NaN last, -score, token id, slot).
 
 Decoding is incremental: each step runs the new decoder row of every live
 hypothesis in one batched call, against the K/V rows its parent left at the
@@ -80,29 +83,16 @@ def _check_lengths(backbone: BackboneParams, config: PromptConfig, max_len: int,
     check_rows(config, backbone.dims.max_pos, targets=max_len, where=f"max_len {max_len}: ")
 
 
-@ad.no_grad()
 def greedy_decode(
     backbone: BackboneParams,
     prompts: PromptSet,
     config: PromptConfig,
     src: Document,
     max_len: int = 256,
-) -> list[int]:
-    """Each step takes the token of highest cumulative log-probability, ties to
-    the lower id: ``beam_search``'s ranking, so beam=1 gives the same ids even
-    where rounding ties two cumulative scores. Stops at EOS or max_len."""
-    _check_lengths(backbone, config, max_len)
-    enc, cache = encode_source(backbone, prompts, config, src), DecoderCache()
-    out: list[int] = []
-    logp = 0.0
-    while len(out) < max_len:
-        score = logp + _next_logprobs(backbone, prompts, config, enc, cache, [out])[0]
-        token = int(np.argmax(score))
-        logp = score[token]
-        out.append(token)
-        if token == EOS_ID:
-            break
-    return out
+) -> Generation:
+    """The token of highest cumulative log-probability at each step, ties to
+    the lower id, until EOS or max_len: ``beam_search`` at width 1."""
+    return beam_search(backbone, prompts, config, src, beam=1, max_len=max_len)
 
 
 def _select(
@@ -126,19 +116,21 @@ def _select(
     np.add(logp[:, None], logprobs, out=score[:n_live].reshape(len(live), vocab))
     score[n_live:] = [beams[slot].logp for slot in closed]
     # Only candidates scoring at least the beam-th best can be chosen, so
-    # the sort runs on those alone (a NaN score is kept, not dropped).
-    keep = np.arange(score.size)
-    if score.size > beam:
-        kth = np.partition(score, score.size - beam)[score.size - beam]
-        keep = np.flatnonzero(~(score < kth))
-    from_live, from_closed = keep[keep < n_live], keep[keep >= n_live] - n_live
-    live_slots, closed_slots = np.array(live, dtype=np.int64), np.array(closed, dtype=np.int64)
-    slot_of = np.concatenate([live_slots[from_live // vocab], closed_slots[from_closed]])
-    last = np.array([beams[s].ids[-1] if beams[s].ids else -1 for s in closed], dtype=np.int64)
-    token = np.concatenate([from_live % vocab, last[from_closed]])
-    score = score[keep]
-    order = np.lexsort((slot_of, token, -score))[:beam]
-    return list(zip(slot_of[order].tolist(), token[order].tolist(), score[order].tolist()))
+    # the ranking runs on those alone (a NaN score is kept, not dropped).
+    cut = max(score.size - beam, 0)
+    kth = np.partition(score, cut)[cut]
+    keep = np.nonzero(~(score < kth))[0]
+    ranked = []
+    for i, x in zip(keep.tolist(), score[keep].tolist()):
+        if i < n_live:
+            slot, token = live[i // vocab], i % vocab
+        else:
+            slot = closed[i - n_live]
+            token = beams[slot].ids[-1] if beams[slot].ids else -1
+        # NaN ranks last; in the score's place it would compare with nothing.
+        ranked.append((x != x, 0.0 if x != x else -x, token, slot, x))
+    ranked.sort()
+    return [(slot, token, x) for _, _, token, slot, x in ranked[:beam]]
 
 
 @ad.no_grad()
@@ -152,27 +144,25 @@ def beam_search(
 ) -> Generation:
     """Standard beam search over cumulative log-probability.
 
-    With beam=1 this reproduces greedy_decode exactly. The search stops when
-    every hypothesis has finished or reached max_len. The result is a list
-    of token ids that also carries the winner's cumulative log-probability.
+    The search stops when every hypothesis has finished or reached max_len.
+    The result is a list of token ids that also carries the winner's
+    cumulative log-probability. With beam=1 it is ``greedy_decode``.
     """
     _check_lengths(backbone, config, max_len, beam)
     enc, cache = encode_source(backbone, prompts, config, src), DecoderCache()
     beams = [Hypothesis((), 0.0, False)]
     best_finished: Hypothesis | None = None
-
-    def extendable(hyp: Hypothesis) -> bool:
-        return not hyp.finished and len(hyp.ids) < max_len
-
-    while any(extendable(h) for h in beams):
-        # Every live hypothesis has the same length and extends one of the
-        # last step's, so one cached call scores them all.
-        live = [slot for slot, hyp in enumerate(beams) if extendable(hyp)]
+    for _ in range(max_len):
+        # Every unfinished hypothesis has the same length and extends one of
+        # the last step's, so one cached call scores them all.
+        live = [slot for slot, hyp in enumerate(beams) if not hyp.finished]
+        if not live:
+            break
         logprobs = _next_logprobs(backbone, prompts, config, enc, cache, [beams[s].ids for s in live])
         chosen = []
         for slot, tok, score in _select(beams, live, logprobs, beam):
             parent = beams[slot]
-            if extendable(parent):
+            if not parent.finished:
                 parent = Hypothesis(parent.ids + (tok,), score, tok == EOS_ID)
             chosen.append(parent)
         beams = chosen

@@ -310,12 +310,12 @@ def run_stage(
 ) -> TrainState:
     """Epoch loop over shuffled data; keeps the best-dev checkpoint.
 
-    After each epoch the dev set is greedy-decoded and scored with ROUGE-1 F1,
-    which is appended to ``loss_history`` as ``{"epoch": n, "dev_rouge1": x}``;
-    every trainable tensor (the prompts, and the backbone in ``full_model``
-    mode) is restored to its value at the best epoch. With no dev set the
-    final checkpoint is returned. Either way ``state.selected`` records the
-    choice: ``{"by": "dev_rouge1" | "final", "epoch": n}``.
+    After each epoch the dev set is greedy-decoded and scored with ROUGE-1 F1;
+    ``loss_history`` gets ``{"epoch": n, "dev_rouge1": x, "dev_s": t}``, with
+    t the dev pass's wall time. Every trainable tensor (the prompts, and the
+    backbone in ``full_model`` mode) is restored to its value at the best
+    epoch. With no dev set the final checkpoint is returned. Either way
+    ``state.selected`` records the choice: ``{"by": "dev_rouge1" | "final", "epoch": n}``.
     """
     if not data:
         raise ValueError("training data is empty")
@@ -347,8 +347,10 @@ def run_stage(
             batch = [data[i] for i in idx]
             state, _ = train_step(state, backbone, batch, step_config)
         if dev:
+            start = time.perf_counter()
             score = _dev_rouge1(backbone, state.prompts, state.prompts.config, dev)
-            state.loss_history.append({"epoch": epoch, "dev_rouge1": score})
+            dev_s = time.perf_counter() - start
+            state.loss_history.append({"epoch": epoch, "dev_rouge1": score, "dev_s": dev_s})
             if score > best_score:
                 best_score, best_epoch = score, epoch
                 best_snap = {name: t.data.copy() for name, t in tensors.items()}

@@ -334,6 +334,31 @@ def test_fewshot_size_below_one(setup, capsys, monkeypatch, command, size):
     ])
     assert rc == 1
     assert f"few-shot size must be >= 1, got {size}" in _single_error(capsys)
+    assert not (setup / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("pretrain-prompts", ["--max-src-tokens", "0"], "max_src_tokens must be >= 1, got 0"),
+        ("generate", ["--max-src-tokens", "-2"], "max_src_tokens must be >= 1, got -2"),
+        ("ablate", ["--k-grid", "4,0"], "--k-grid values must be >= 1, got 0"),
+    ],
+    ids=["pretrain-prompts-max-src-tokens", "generate-max-src-tokens", "ablate-k-grid"],
+)
+def test_bad_input_setting_is_refused_before_the_run(setup, capsys, command, setting, message):
+    extra = {
+        "pretrain-prompts": _NEW_MODEL,
+        "generate": ["--checkpoint", str(setup / "ckpt.npz")],
+        "ablate": [*_NEW_MODEL, "--fewshot-size", "2"],
+    }[command]
+    rc = dispatch([
+        command, *extra, "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
+        *setting, "--out", str(setup / "out"),
+    ])
+    assert rc == 1
+    assert _single_error(capsys) == f"error: {message}\n"
+    assert not (setup / "out").exists()
 
 
 @pytest.mark.parametrize(

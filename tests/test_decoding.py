@@ -77,15 +77,42 @@ class TestGreedy:
             greedy_decode(backbone, prompts, config, make_doc([4]), max_len=0)
 
 
+@ad.no_grad()
+def reference_greedy(backbone, prompts, config, src, max_len):
+    """Greedy decoding in its own loop, as it ran before it became beam search
+    at width 1: one cached step per token, the argmax of the cumulative
+    score (ties to the lower id), until EOS or max_len. Returns (ids, logp)."""
+    enc, cache = encode_source(backbone, prompts, config, src), DecoderCache()
+    out, logp = [], 0.0
+    while len(out) < max_len:
+        score = logp + decoding._next_logprobs(backbone, prompts, config, enc, cache, [out])[0]
+        token = int(np.argmax(score))
+        logp = float(score[token])
+        out.append(token)
+        if token == EOS_ID:
+            break
+    return out, logp
+
+
 class TestBeamSearch:
-    def test_beam_one_equals_greedy_on_random_models(self):
+    def test_greedy_and_beam_one_equal_the_greedy_loop_on_random_models(self):
         rng = np.random.default_rng(0)
         for seed in range(20):
             backbone, prompts, config = tiny_model(seed=seed, vocab=12)
             doc = make_doc([int(v) for v in rng.integers(4, 12, size=4)])
-            g = greedy_decode(backbone, prompts, config, doc, max_len=5)
-            b = beam_search(backbone, prompts, config, doc, beam=1, max_len=5)
-            assert g == b
+            ids, logp = reference_greedy(backbone, prompts, config, doc, max_len=5)
+            for gen in (
+                greedy_decode(backbone, prompts, config, doc, max_len=5),
+                beam_search(backbone, prompts, config, doc, beam=1, max_len=5),
+            ):
+                assert list(gen) == ids
+                assert gen.logp.hex() == logp.hex()
+
+    def test_greedy_logp_is_the_sequence_logprob(self):
+        backbone, prompts, config = tiny_model(seed=11, vocab=12)
+        doc = make_doc([4, 5, 6])
+        gen = greedy_decode(backbone, prompts, config, doc, max_len=5)
+        assert gen.logp == pytest.approx(sequence_logprob(backbone, prompts, config, doc, gen), rel=1e-10)
 
     def test_beam_one_equals_greedy_when_rounding_ties_cumulative_scores(self, monkeypatch):
         # After token 7 at -40, token 6 at -1.0 beats token 5 at -1.0 - 1e-15

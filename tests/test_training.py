@@ -470,6 +470,8 @@ class TestRunStage:
         monkeypatch.setattr(tr, "_dev_rouge1", lambda b, p, c, d: next(scores))
         state = run_stage(_pairs(4, seed=1), _pairs(2, seed=2), state, backbone, config)
         epochs = [e for e in state.loss_history if "epoch" in e]
+        dev_s = [e.pop("dev_s") for e in epochs]
+        assert all(isinstance(t, float) and t >= 0 for t in dev_s)
         assert epochs == [
             {"epoch": 1, "dev_rouge1": 0.5},
             {"epoch": 2, "dev_rouge1": 0.9},
