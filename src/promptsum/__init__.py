@@ -13,9 +13,10 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_heap(environ=os.environ) -> bool:
     """Keep up to 128 MiB of freed heap in the process for the next allocation.
 
-    A training step frees its autodiff tape, about 90 MB on the benchmark
-    model. With glibc's default thresholds that memory goes back to the
-    kernel, and the next step faults the same pages in again. Blocks up to
+    A training step frees each pair's autodiff tape, about 14 MB on the
+    benchmark model, before the next pair's forward. With glibc's default
+    thresholds that memory can go back to the kernel, and the next pair
+    faults the same pages in again. Blocks up to
     32 MiB now come from the heap, and the heap is trimmed only past 128 MiB
     of free space at its top. Setting either threshold alone turns off
     glibc's dynamic threshold and faults more than the default, so the trim

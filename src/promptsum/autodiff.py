@@ -465,10 +465,11 @@ def attention(
     return _result(_rows(out_h), (q, k, v), backward)
 
 
-def cross_entropy_sum(
+def cross_entropy_rows(
     logits: Tensor, targets, ignore_id: int | None = None
-) -> tuple[Tensor, int]:
-    """Summed negative log-likelihood of ``targets`` under row-wise softmax.
+) -> tuple[Tensor, np.ndarray]:
+    """Summed negative log-likelihood of ``targets`` under row-wise softmax,
+    and the NLL of each row it sums.
 
     Args:
         logits: [T, V] scores.
@@ -476,7 +477,9 @@ def cross_entropy_sum(
         ignore_id: Target id excluded from the loss (masked rows contribute 0).
 
     Returns:
-        (scalar loss tensor, number of unmasked positions)
+        (scalar loss tensor, NLL of the unmasked rows in row order). The
+        loss is that array's ``sum()``: rows scored in pieces, concatenated
+        in order and summed once, give the loss of one call to the bit.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.ndim != 1 or logits.data.shape[0] != targets.shape[0]:
@@ -484,7 +487,6 @@ def cross_entropy_sum(
             f"logits rows {logits.data.shape} must match targets length {targets.shape}"
         )
     mask = np.ones_like(targets, dtype=bool) if ignore_id is None else targets != ignore_id
-    n = int(mask.sum())
 
     m = logits.data.max(axis=-1, keepdims=True)
     e = logits.data - m
@@ -493,7 +495,8 @@ def cross_entropy_sum(
     lse = m[:, 0] + np.log(z[:, 0])
     rows = np.arange(targets.shape[0])
     nll = lse - logits.data[rows, targets]
-    out_data = np.array(nll[mask].sum())
+    kept = nll[mask]
+    out_data = np.array(kept.sum())
 
     def backward(g):
         p = e / z
@@ -502,4 +505,12 @@ def cross_entropy_sum(
         p *= g
         return (p,)
 
-    return _result(out_data, (logits,), backward), n
+    return _result(out_data, (logits,), backward), kept
+
+
+def cross_entropy_sum(
+    logits: Tensor, targets, ignore_id: int | None = None
+) -> tuple[Tensor, int]:
+    """``cross_entropy_rows``'s loss tensor and the number of unmasked positions."""
+    total, kept = cross_entropy_rows(logits, targets, ignore_id)
+    return total, kept.size

@@ -293,6 +293,23 @@ def _prompt_config(cfg: dict, docs: list[Document]) -> PromptConfig:
     )
 
 
+def _check_prompt_settings(cfg: dict, every_variant: bool) -> None:
+    """The checks of ``compute_n_max`` and ``PromptConfig`` that need no corpus,
+    with their messages. ``every_variant``: ablate trains fixed_k, sequential
+    and shared variants whatever ``strategy`` and ``shared`` say."""
+    len_en, len_de, k = cfg["prompt_len_en"], cfg["prompt_len_de"], cfg["k"]
+    fixed_k = every_variant or cfg["strategy"] == "fixed_k"
+    derived = cfg["n_max"] < 1 and (fixed_k or cfg["strategy"] == "sequential")  # by compute_n_max
+    if fixed_k and k < 1:
+        raise CliError(f"span length k must be >= 1, got {k}" if derived else "fixed_k requires k >= 1")
+    if derived and not 0.0 < cfg["percentile"] <= 1.0:
+        raise CliError("percentile must be in (0, 1]")
+    if len_en < 0 or len_de < 0:
+        raise CliError("prompt lengths must be >= 0")
+    if len_en != len_de and (every_variant or cfg["shared"]):
+        raise CliError("shared prompts require len_en == len_de")
+
+
 def _train_config(cfg: dict, stage: str) -> TrainConfig:
     """The stage's settings; ``resolve_config`` leaves one of its two warmup keys."""
     stage_keys = {key: cfg.get(f"{stage}_{key}") for key in _STAGE_KEYS}
@@ -735,6 +752,13 @@ def dispatch(argv=None) -> int:
         for k in getattr(args, "k_grid", None) or ():
             if k < 1:
                 raise CliError(f"--k-grid values must be >= 1, got {k}")
+        if hasattr(args, "prompt_len_en"):
+            _check_prompt_settings(cfg, every_variant=args.command == "ablate")
+        strategy = getattr(args, "pseudo_strategy", None)
+        if strategy == "lead" and cfg["lead_n"] < 1:
+            raise CliError(f"lead_n must be >= 1, got {cfg['lead_n']}")
+        if strategy == "gsg" and cfg["gsg_m"] < 1:
+            raise CliError(f"gap-sentence count m must be >= 1, got {cfg['gsg_m']}")
         if command.stage:
             args.train_config = _train_config(cfg, command.stage)
         with _run(args.out, args.command, cfg, inputs, list(command.outputs), argv) as run:

@@ -126,7 +126,9 @@ def batch_mean_nll(
 ) -> tuple[Tensor, int]:
     """Token-weighted mean NLL over a batch of pairs (teacher forcing), and the
     number of non-PAD target tokens it averages over. All pairs go through one
-    ``teacher_forced_logits`` pass."""
+    ``teacher_forced_logits`` pass, so the whole batch is on one tape: this is
+    the loss ``grad_check`` differentiates, and the one-tape reference that
+    ``train_step``'s per-pair accumulation is tested against."""
     pairs = [(pair.document, pair.summary) for pair in batch]
     logits, targets = teacher_forced_logits(backbone, prompts, pconfig, pairs)
     total, n_tokens = ad.cross_entropy_sum(logits, targets, ignore_id=PAD_ID)
@@ -161,7 +163,11 @@ def train_step(
 
     The accumulated gradient is the mean of the micro-batch gradients, each a
     token-mean, so accumulation over identical micro-batches matches a single
-    doubled batch.
+    doubled batch. A micro-batch runs forward and backward one pair at a
+    time, each pair's loss divided by the micro-batch's non-PAD token count,
+    so only one pair's tape is alive at once. The micro-batch's loss is one
+    sum over all its pairs' row NLLs in order, as ``batch_mean_nll`` sums
+    them on one tape.
 
     Appends to ``state.loss_history`` the step, learning rate and mean chunk
     loss, plus ``wall_s`` (the step's wall time), ``tokens`` (non-PAD target
@@ -189,10 +195,18 @@ def train_step(
     losses = []
     tokens = 0
     for chunk in chunks:
-        loss, n_tokens = batch_mean_nll(backbone, state.prompts, pconfig, chunk)
-        losses.append(float(loss.data))
+        n_tokens = sum(t != PAD_ID for pair in chunk for t in pair.summary)
+        rows = []
+        for pair in chunk:
+            logits, targets = teacher_forced_logits(
+                backbone, state.prompts, pconfig, [(pair.document, pair.summary)]
+            )
+            total, kept = ad.cross_entropy_rows(logits, targets, ignore_id=PAD_ID)
+            ad.scale(ad.scale(total, 1.0 / n_tokens), 1.0 / len(chunks)).backward()
+            rows.append(kept)
+            del logits, total  # the pair's tape, before the next pair's forward
+        losses.append(float(np.concatenate(rows).sum() * (1.0 / n_tokens)))
         tokens += n_tokens
-        ad.scale(loss, 1.0 / len(chunks)).backward()
     mean_loss = float(np.mean(losses))
     if not math.isfinite(mean_loss):
         raise TrainingDivergedError(

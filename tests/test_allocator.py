@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,12 +16,10 @@ import promptsum
 
 MIB = 1 << 20
 
-# Warm train steps of a d=32, one-layer model with 20 + 20 prompts, 60-token
-# sources and a batch of 8: about 30 ms a step. Prints the minor page faults
-# of each measured step as a JSON list.
-_FAULT_PROBE = textwrap.dedent(
+# A d=32, one-layer model with 20 + 20 prompts, 60-token sources and eight
+# pairs, after one train step: about 30 ms a step.
+_PROBE_MODEL = textwrap.dedent(
     """
-    import json, resource
     import numpy as np
     from promptsum.corpus import Document, EOS_ID, SummaryPair
     from promptsum.model import ModelDims, PromptConfig, init_backbone, init_prompts
@@ -40,11 +39,19 @@ _FAULT_PROBE = textwrap.dedent(
     ]
     config = TrainConfig(peak_lr=1e-2, warmup_steps=10, batch=8, grad_accum=1)
     state = init_train_state(prompts, backbone, config)
+    train_step(state, backbone, pairs, config)
+    """
+)
+
+# Prints the minor page faults of each measured warm step as a JSON list.
+_FAULT_PROBE = _PROBE_MODEL + textwrap.dedent(
+    """
+    import json, resource
     faults = []
-    for step in range(8):
+    for step in range(7):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         train_step(state, backbone, pairs, config)
-        if step >= 3:
+        if step >= 2:
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     print(json.dumps(faults))
     """
@@ -54,7 +61,7 @@ _FAULT_PROBE = textwrap.dedent(
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
 def test_warm_train_steps_reuse_freed_heap():
     # With glibc's default thresholds each warm step of this model faults
-    # about 500 pages in again; with the package's thresholds, a handful.
+    # about 750 pages in again; with the package's thresholds, a handful.
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
     src = str(Path(promptsum.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -63,6 +70,29 @@ def test_warm_train_steps_reuse_freed_heap():
     )
     faults = json.loads(out.stdout.splitlines()[-1])
     assert sorted(faults)[len(faults) // 2] < 100, faults
+
+
+def test_a_train_step_holds_one_pairs_tape_at_a_time():
+    # tracemalloc counts NumPy's buffers: a deterministic measure, no RSS.
+    # The eight pairs are alike, so a step that holds one pair's tape at a
+    # time peaks as a one-pair step does (0.99x); one that keeps the previous
+    # pair's tape through the next forward reads 1.11x, one tape for all 4.9x.
+    probe = {}
+    exec(_PROBE_MODEL, probe)
+    state, backbone, pairs, config = (probe[name] for name in ("state", "backbone", "pairs", "config"))
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        peaks = {}
+        for n in (1, 8):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            probe["train_step"](state, backbone, pairs[:n], config)
+            peaks[n] = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peaks[8] <= 1.05 * peaks[1], peaks
 
 
 class _Mallopt:

@@ -318,7 +318,7 @@ def test_fixed_k_with_k_zero(setup, capsys):
     ])
     assert rc == 1
     assert "k must be >= 1" in _single_error(capsys)
-    assert not (setup / "out" / "checkpoint.npz").exists()
+    assert not (setup / "out").exists()
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])
@@ -343,14 +343,31 @@ def test_fewshot_size_below_one(setup, capsys, monkeypatch, command, size):
         ("pretrain-prompts", ["--max-src-tokens", "0"], "max_src_tokens must be >= 1, got 0"),
         ("generate", ["--max-src-tokens", "-2"], "max_src_tokens must be >= 1, got -2"),
         ("ablate", ["--k-grid", "4,0"], "--k-grid values must be >= 1, got 0"),
+        ("pretrain-prompts", ["--strategy", "fixed_k", "--k", "0"], "span length k must be >= 1, got 0"),
+        ("pretrain-prompts", ["--strategy", "fixed_k", "--k", "0", "--n-max", "3"], "fixed_k requires k >= 1"),
+        ("ablate", ["--k", "-2"], "span length k must be >= 1, got -2"),
+        ("pretrain-prompts", ["--prompt-len-en", "-1"], "prompt lengths must be >= 0"),
+        ("ablate", ["--prompt-len-de", "-1"], "prompt lengths must be >= 0"),
+        ("pretrain-prompts", ["--strategy", "sequential", "--percentile", "1.5"], "percentile must be in (0, 1]"),
+        ("ablate", ["--percentile", "0"], "percentile must be in (0, 1]"),
+        ("pretrain-prompts", ["--shared", "--prompt-len-de", "3"], "shared prompts require len_en == len_de"),
+        ("ablate", ["--prompt-len-de", "3"], "shared prompts require len_en == len_de"),
+        ("build-pseudo", ["--strategy", "lead", "--lead-n", "0"], "lead_n must be >= 1, got 0"),
+        ("build-pseudo", ["--strategy", "gsg", "--m", "0"], "gap-sentence count m must be >= 1, got 0"),
     ],
-    ids=["pretrain-prompts-max-src-tokens", "generate-max-src-tokens", "ablate-k-grid"],
+    ids=[
+        "pretrain-prompts-max-src-tokens", "generate-max-src-tokens", "ablate-k-grid",
+        "pretrain-prompts-k", "pretrain-prompts-k-with-n-max", "ablate-k", "pretrain-prompts-prompt-len",
+        "ablate-prompt-len", "pretrain-prompts-percentile", "ablate-percentile", "pretrain-prompts-shared",
+        "ablate-shared", "build-pseudo-lead-n", "build-pseudo-m",
+    ],
 )
 def test_bad_input_setting_is_refused_before_the_run(setup, capsys, command, setting, message):
     extra = {
         "pretrain-prompts": _NEW_MODEL,
         "generate": ["--checkpoint", str(setup / "ckpt.npz")],
         "ablate": [*_NEW_MODEL, "--fewshot-size", "2"],
+        "build-pseudo": [],
     }[command]
     rc = dispatch([
         command, *extra, "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),
@@ -452,7 +469,7 @@ def test_pseudo_summary_size_below_one(setup, capsys, strategy, flag, name, valu
     ])
     assert rc == 1
     assert f"{name} must be >= 1, got {value}" in _single_error(capsys)
-    assert not (setup / "out" / "pseudo.jsonl").exists()
+    assert not (setup / "out").exists()
 
 
 # An existing file for each input flag, by dest.

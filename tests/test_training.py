@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptsum import autodiff as ad
-from promptsum.corpus import EOS_ID, PAD_ID
+from promptsum.corpus import EOS_ID, PAD_ID, SummaryPair
 from promptsum.decoding import beam_search
-from promptsum.model import PromptConfig, forward, init_prompts
+from promptsum.model import STRATEGIES, PromptConfig, forward, init_prompts
 from promptsum.training import (
+    MODES,
     TrainConfig,
     TrainState,
     TrainingDivergedError,
@@ -271,24 +272,26 @@ def _lean_cases(draw):
     return model, pairs, draw(st.integers(1, len(pairs)))
 
 
+def _one_tape(backbone, prompts, config, chunks):
+    """The one-tape reference for train_step's accumulation: each chunk's
+    ``batch_mean_nll`` on one tape, backward scaled by 1 / len(chunks).
+    Returns the chunk losses, the roots and the prompt gradients."""
+    for t in list(prompts.named_tensors().values()) + list(backbone.params.values()):
+        t.zero_grad()
+    losses, roots = [], []
+    for chunk in chunks:
+        loss, _ = batch_mean_nll(backbone, prompts, config, chunk)
+        root = ad.scale(loss, 1.0 / len(chunks))
+        root.backward()
+        losses.append(float(loss.data))
+        roots.append(root)
+    grads = {n: None if t.grad is None else t.grad.copy() for n, t in prompts.named_tensors().items()}
+    return losses, roots, grads
+
+
 class TestLeanBackward:
     """The frozen-backbone backward against the same graph with every leaf
     unfrozen, where every closure computes every parent's gradient."""
-
-    @staticmethod
-    def _accumulate(backbone, prompts, config, chunks):
-        """train_step's gradient accumulation; returns chunk losses and roots."""
-        for t in list(prompts.named_tensors().values()) + list(backbone.params.values()):
-            t.zero_grad()
-        losses, roots = [], []
-        for chunk in chunks:
-            loss, _ = batch_mean_nll(backbone, prompts, config, chunk)
-            root = ad.scale(loss, 1.0 / len(chunks))
-            root.backward()
-            losses.append(loss.data.tobytes())
-            roots.append(root)
-        grads = {n: None if t.grad is None else t.grad.copy() for n, t in prompts.named_tensors().items()}
-        return losses, roots, grads
 
     @settings(max_examples=30, deadline=None)
     @given(_lean_cases())
@@ -298,9 +301,9 @@ class TestLeanBackward:
         chunks = _chunk(pairs, grad_accum)
 
         backbone.unfreeze()
-        ref_losses, ref_roots, ref_grads = self._accumulate(backbone, prompts, config, chunks)
+        ref_losses, ref_roots, ref_grads = _one_tape(backbone, prompts, config, chunks)
         backbone.freeze()
-        losses, roots, grads = self._accumulate(backbone, prompts, config, chunks)
+        losses, roots, grads = _one_tape(backbone, prompts, config, chunks)
 
         assert losses == ref_losses
         for name, g in grads.items():
@@ -314,11 +317,93 @@ class TestLeanBackward:
                     assert node.grad is None
 
         # each chunk's backward adds into what the earlier chunks left
-        per_chunk = [self._accumulate(backbone, prompts, config, [c])[2] for c in chunks]
+        per_chunk = [_one_tape(backbone, prompts, config, [c])[2] for c in chunks]
         for name, g in grads.items():
             if g is not None:
                 expected = sum(p[name] for p in per_chunk) / len(chunks)
                 np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def _accum_cases(draw):
+    """A model of any inner-prompt strategy, shared or not, and pairs of mixed
+    lengths whose summaries hold PAD (also after an inner EOS)."""
+    vocab = draw(st.integers(8, 14))
+    len_en = draw(st.integers(0, 3))
+    shared = draw(st.booleans())
+    model = dict(
+        seed=draw(st.integers(0, 10_000)),
+        vocab=vocab,
+        layers=draw(st.integers(1, 2)),
+        len_en=len_en,
+        len_de=len_en if shared else draw(st.integers(0, 3)),
+        shared=shared,
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        k=draw(st.integers(1, 3)),
+    )
+    words = st.lists(st.integers(4, vocab - 1), min_size=1, max_size=5)
+    token = st.one_of(st.integers(4, vocab - 1), st.sampled_from([PAD_ID, EOS_ID]))
+    summary = st.lists(token, max_size=6).map(lambda ids: tuple(ids) + (EOS_ID,))
+    pair = st.builds(lambda doc, ids: SummaryPair(make_doc(*doc), ids), st.lists(words, min_size=1, max_size=3), summary)
+    pairs = draw(st.lists(pair, min_size=1, max_size=5))
+    return model, pairs, draw(st.integers(1, 3))
+
+
+class TestPerPairAccumulation:
+    """train_step runs one pair's tape at a time; the one-tape reference runs
+    each chunk on one tape. Both take the same gradient step."""
+
+    @staticmethod
+    def _grads(tensors):
+        return {n: None if t.grad is None else t.grad.copy() for n, t in tensors.items()}
+
+    @staticmethod
+    def _model(model, mode):
+        backbone, prompts, config = tiny_model(**model)
+        if mode == "prompt_only":
+            backbone.freeze()
+        return backbone, prompts, config
+
+    def _step(self, case, mode):
+        """The reference's chunk losses and gradients, then those of train_step,
+        from the same starting point."""
+        model, pairs, grad_accum = case
+        backbone, prompts, config = self._model(model, mode)
+        tensors = trainable_tensors(backbone, prompts, mode)
+        ref_losses, _, _ = _one_tape(backbone, prompts, config, _chunk(pairs, grad_accum))
+        ref_grads = self._grads(tensors)
+        step_config = _quick_config(mode=mode, batch=len(pairs), grad_accum=grad_accum)
+        state, loss = train_step(init_train_state(prompts, backbone, step_config), backbone, pairs, step_config)
+        chunk_losses = []
+        for chunk in _chunk(pairs, grad_accum):  # one chunk per step: its loss is the step's
+            backbone, prompts, _ = self._model(model, mode)
+            alone = _quick_config(mode=mode, batch=len(chunk), grad_accum=1)
+            chunk_losses.append(train_step(init_train_state(prompts, backbone, alone), backbone, chunk, alone)[1])
+        return ref_losses, ref_grads, loss, chunk_losses, self._grads(tensors)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=30, deadline=None)
+    @given(case=_accum_cases())
+    def test_train_step_takes_the_one_tape_step(self, mode, case):
+        ref_losses, ref_grads, loss, chunk_losses, grads = self._step(case, mode)
+        # NumPy sends a one-row product to gemv and a longer one to gemm, so a
+        # pair with one target row (EOS alone; a loaded dataset has none) is
+        # projected onto the vocabulary by another kernel here than among its
+        # chunk's rows in the reference. Every other pair's rows round alike.
+        exact = all(len(pair.summary) > 1 for pair in case[1])
+        for got, want in zip(chunk_losses + [loss], ref_losses + [float(np.mean(ref_losses))]):
+            assert got.hex() == want.hex() if exact else math.isclose(got, want, rel_tol=1e-15)
+        for name, g in grads.items():
+            want = ref_grads[name]
+            assert (g is None) == (want is None), name
+            if g is None:
+                continue
+            if exact and name.startswith("prompts/"):
+                assert g.tobytes() == want.tobytes(), name
+            else:
+                # full_model: the tied embedding's gradient adds up pair by
+                # pair here, over a chunk's rows in one product there.
+                np.testing.assert_allclose(g, want, rtol=0, atol=1e-14, err_msg=name)
 
 
 class TestTrainableTensors:
