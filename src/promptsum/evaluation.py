@@ -36,7 +36,7 @@ class EvalReport:
     r1_f1: float
     r2_f1: float
     rl_f1: float
-    ppl: float | None
+    ppl: float
     n_examples: int
     fingerprint: str
 

@@ -494,7 +494,6 @@ def decode_logits(
     tgt_prefix,
     capture_attention: bool = False,
     cache: DecoderCache | None = None,
-    project: bool = True,
 ) -> tuple[Tensor, list[np.ndarray] | None]:
     """Run the decoder on [P_de ; BOS ; tgt_prefix].
 
@@ -519,10 +518,6 @@ def decode_logits(
     call. The call's prefixes and K/V then replace the cached ones, and the
     call records no autodiff tape. A batch that does not extend the last
     call raises ``ValueError``.
-
-    ``project=False`` returns the final layer-norm rows in place of the
-    logits, so that a caller can project the rows of several calls at once
-    (see ``vocab_logits``).
     """
     dims = backbone.dims
     p = backbone.params
@@ -585,12 +580,7 @@ def decode_logits(
 
         if cut:
             x = ad.slice_rows(x, cut, t_dec - start)
-        return (vocab_logits(backbone, x) if project else x), capture
-
-
-def vocab_logits(backbone: BackboneParams, x: Tensor) -> Tensor:
-    """Scores of rows ``x`` over the vocabulary, through the tied embedding."""
-    return ad.matmul(x, ad.transpose(backbone.embed, (1, 0)))
+        return ad.matmul(x, ad.transpose(backbone.embed, (1, 0))), capture
 
 
 def teacher_forced_logits(
@@ -599,20 +589,23 @@ def teacher_forced_logits(
     """Teacher-forced logits of (document, ids) pairs, and the ids they score.
 
     The decoder runs on [P_de ; BOS ; ids[:-1]] over each encoded document,
-    so a pair's row t predicts ids[t]. The rows of all pairs, in order, share
-    one vocabulary projection: logits [sum of len(ids), vocab] and targets the
-    concatenated ids. Nothing is masked; a caller that drops PAD passes
-    ``ignore_id`` to ``cross_entropy_sum``.
+    so a pair's row t predicts ids[t]. Each pair's rows are projected onto
+    the vocabulary by their own ``decode_logits`` call, so a pair's logits do
+    not depend on which pairs share the call; they are joined in order:
+    logits [sum of len(ids), vocab] and targets the concatenated ids. Nothing
+    is masked; a caller that drops PAD passes ``ignore_id`` to
+    ``cross_entropy_sum``.
     """
-    rows, targets = [], []
+    parts, targets = [], []
     for doc, ids in pairs:
         ids = list(ids)
         if not ids:
             raise ValueError("cannot score an empty sequence")
         enc = encode_source(backbone, prompts, config, doc)
-        rows.append(decode_logits(backbone, prompts, config, enc, ids[:-1], project=False)[0])
+        parts.append(decode_logits(backbone, prompts, config, enc, ids[:-1])[0])
         targets += ids
-    return vocab_logits(backbone, ad.concat_rows(rows)), np.array(targets, dtype=np.int64)
+    logits = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
+    return logits, np.array(targets, dtype=np.int64)
 
 
 def forward(

@@ -128,7 +128,8 @@ def batch_mean_nll(
     number of non-PAD target tokens it averages over. All pairs go through one
     ``teacher_forced_logits`` pass, so the whole batch is on one tape: this is
     the loss ``grad_check`` differentiates, and the one-tape reference that
-    ``train_step``'s per-pair accumulation is tested against."""
+    ``train_step``'s per-pair accumulation is tested against. Each pair's rows
+    are projected onto the vocabulary on their own, as in ``train_step``."""
     pairs = [(pair.document, pair.summary) for pair in batch]
     logits, targets = teacher_forced_logits(backbone, prompts, pconfig, pairs)
     total, n_tokens = ad.cross_entropy_sum(logits, targets, ignore_id=PAD_ID)
@@ -333,9 +334,6 @@ def run_stage(
     """
     if not data:
         raise ValueError("training data is empty")
-    if config.epochs == 0:
-        return state
-
     if config.mode == "prompt_only":
         backbone.freeze()
     else:

@@ -402,6 +402,8 @@ class TestTrainingCommands:
         ckpt = _pretrain(corpus_dir, out="untrained", epochs="0")
         assert os.path.exists(ckpt)
         assert (corpus_dir / "untrained" / "train_log.jsonl").read_text() == ""
+        assert _read_json(corpus_dir / "untrained" / "manifest.json")["selected"] == {"by": "final", "epoch": 0}
+        assert load_checkpoint(ckpt)[0].frozen
 
     def test_pretrain_backbone_then_prompts(self, corpus_dir):
         rc = dispatch([
