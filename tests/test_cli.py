@@ -405,6 +405,41 @@ class TestTrainingCommands:
         assert _read_json(corpus_dir / "untrained" / "manifest.json")["selected"] == {"by": "final", "epoch": 0}
         assert load_checkpoint(ckpt)[0].frozen
 
+    @pytest.mark.parametrize(
+        "command, extra, frozen",
+        [
+            ("pretrain-prompts", ["--dev", "test.jsonl"], True),
+            ("pretrain-backbone", [], False),
+            ("finetune", ["--dev", "test.jsonl"], True),
+            ("finetune", ["--dev", "test.jsonl", "--mode", "full_model"], False),
+        ],
+        ids=["pretrain-prompts-dev", "pretrain-backbone", "finetune", "finetune-full-model"],
+    )
+    def test_epochs_zero_records_selection_and_freeze(self, corpus_dir, command, extra, frozen):
+        # Zero epochs still apply the mode's freeze or unfreeze and record the
+        # final (untrained) prompts as selected, dev set or none.
+        extra = [str(corpus_dir / a) if a.endswith(".jsonl") else a for a in extra]
+        if command == "pretrain-prompts":
+            _build_pseudo(corpus_dir)
+            argv = _pretrain_argv(corpus_dir, out="zero", epochs="0", extra=extra)
+        else:
+            if command == "finetune":
+                _build_pseudo(corpus_dir)
+                source = ["--checkpoint", _pretrain(corpus_dir, epochs="1")]
+                source += ["--train", str(corpus_dir / "train.jsonl")]
+            else:
+                source = ["--data", str(corpus_dir / "train.jsonl"), *TINY_MODEL]
+            argv = [
+                command, *source, "--vocab", _vocab(corpus_dir),
+                "--epochs", "0", "--batch", "4", "--grad-accum", "1",
+                "--peak-lr", "1e-2", "--warmup-steps", "2",
+                "--out", str(corpus_dir / "zero"), *extra,
+            ]
+        assert dispatch(argv) == 0
+        assert (corpus_dir / "zero" / "train_log.jsonl").read_text() == ""
+        assert _read_json(corpus_dir / "zero" / "manifest.json")["selected"] == {"by": "final", "epoch": 0}
+        assert load_checkpoint(corpus_dir / "zero" / "checkpoint.npz")[0].frozen is frozen
+
     def test_pretrain_backbone_then_prompts(self, corpus_dir):
         rc = dispatch([
             "pretrain-backbone",

@@ -87,3 +87,33 @@ def test_nothing_to_score_is_rejected(pairs):
     backbone, prompts, config = tiny_model()
     with pytest.raises(ValueError):
         teacher_forced_logits(backbone, prompts, config, pairs)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 1000), summaries=st.lists(SUMMARIES, min_size=2, max_size=4))
+def test_a_pairs_logits_do_not_depend_on_its_batch(seed, summaries):
+    # Each pair is projected onto the vocabulary by its own decode_logits call,
+    # so its rows are the same bits alone as among other pairs, whatever their
+    # lengths: a one-row pair (EOS alone) included.
+    backbone, prompts, config = tiny_model(seed=seed, vocab=VOCAB)
+    pairs = list(zip(_documents(seed, len(summaries)), summaries))
+    logits, _ = teacher_forced_logits(backbone, prompts, config, pairs)
+    start = 0
+    for pair in pairs:
+        alone, _ = teacher_forced_logits(backbone, prompts, config, [pair])
+        rows = logits.data[start : start + len(pair[1])]
+        assert rows.tobytes() == alone.data.tobytes()
+        start += len(pair[1])
+    assert start == logits.shape[0]
+
+
+@pytest.mark.parametrize("ids", [[EOS_ID], [6, EOS_ID], [6, 7, 8, EOS_ID]])
+def test_one_pair_is_scored_by_its_decode_logits_call(ids):
+    backbone, prompts, config = tiny_model(seed=3, vocab=VOCAB)
+    doc = make_doc([4, 5, 6], [7])
+    logits, targets = teacher_forced_logits(backbone, prompts, config, [(doc, ids)])
+    enc = encode_source(backbone, prompts, config, doc)
+    alone, _ = decode_logits(backbone, prompts, config, enc, ids[:-1])
+    assert logits.shape == (len(ids), VOCAB)
+    assert logits.data.tobytes() == alone.data.tobytes()
+    assert targets.tolist() == ids

@@ -539,6 +539,32 @@ class TestRunStage:
         assert backbone.frozen  # prompt_only freezes the backbone before any epoch
         assert state.selected == {"by": "final", "epoch": 0}
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_epochs_applies_the_modes_freeze(self, mode):
+        # The backbone starts in the state the other mode leaves it in.
+        backbone, prompts, _ = tiny_model()
+        if mode == "full_model":
+            backbone.freeze()
+        config = _quick_config(mode=mode, epochs=0)
+        state = init_train_state(prompts, backbone, config)
+        run_stage(_pairs(4), [], state, backbone, config)
+        assert backbone.frozen == (mode == "prompt_only")
+        assert state.step == 0 and state.loss_history == []
+
+    def test_zero_epochs_with_dev_set_decodes_nothing(self, monkeypatch):
+        import promptsum.training as training
+
+        def no_dev_pass(*args):
+            raise AssertionError("dev set decoded with zero epochs")
+
+        monkeypatch.setattr(training, "_dev_rouge1", no_dev_pass)
+        backbone, prompts, _ = tiny_model()
+        config = _quick_config(epochs=0)
+        state = init_train_state(prompts, backbone, config)
+        run_stage(_pairs(4), _pairs(2, seed=1), state, backbone, config)
+        assert state.selected == {"by": "final", "epoch": 0}
+        assert state.loss_history == []
+
     def test_empty_data_rejected(self):
         backbone, prompts, _ = tiny_model()
         config = _quick_config()
