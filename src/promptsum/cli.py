@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .corpus import (
+    RESERVED_TOKENS,
     Dataset,
     Document,
     EmptyDocumentError,
@@ -273,8 +274,8 @@ def _backbone_from_args(args, cfg: dict, vocab: Vocab):
         backbone, _ = load_checkpoint(args.backbone)
         _check_vocab(backbone, vocab, args.backbone)
         return backbone
-    sizes = {key: cfg[key] for key in ("d", "layers", "heads", "ffn", "max_pos")}
-    return init_backbone(ModelDims(vocab=len(vocab), **sizes), cfg.get("backbone_seed", cfg["seed"]))
+    dims = replace(args.dims, vocab=len(vocab))  # args.dims: built by dispatch, before the run
+    return init_backbone(dims, cfg.get("backbone_seed", cfg["seed"]))
 
 
 def _prompt_config(cfg: dict, docs: list[Document]) -> PromptConfig:
@@ -754,6 +755,12 @@ def dispatch(argv=None) -> int:
                 raise CliError(f"--k-grid values must be >= 1, got {k}")
         if hasattr(args, "prompt_len_en"):
             _check_prompt_settings(cfg, every_variant=args.command == "ablate")
+        if hasattr(args, "backbone") and args.backbone is None:  # the model is built from flags
+            sizes = {key: cfg[key] for key in ("d", "layers", "heads", "ffn", "max_pos")}
+            args.dims = ModelDims(vocab=len(RESERVED_TOKENS) + 1, **sizes)  # vocab: a stand-in until the file is read
+            if hasattr(args, "prompt_len_en"):  # a source and a target token must fit after the prompts
+                lengths = PromptConfig(cfg["prompt_len_en"], cfg["prompt_len_de"], strategy="none")
+                check_rows(lengths, args.dims.max_pos, source=1, targets=1, where="prompt lengths: ")
         strategy = getattr(args, "pseudo_strategy", None)
         if strategy == "lead" and cfg["lead_n"] < 1:
             raise CliError(f"lead_n must be >= 1, got {cfg['lead_n']}")

@@ -52,10 +52,6 @@ def config_fingerprint(backbone: BackboneParams, config: PromptConfig, beam: int
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _strip_eos(ids) -> list[int]:
-    return [t for t in ids if t != EOS_ID]
-
-
 def generate_predictions(
     backbone: BackboneParams,
     prompts: PromptSet,
@@ -76,7 +72,7 @@ def generate_predictions(
     records = []
     for i, pair in enumerate(test):
         gen = beam_search(backbone, prompts, config, pair.document, beam, max_len)
-        score = rouge_score(_strip_eos(gen), list(pair.summary_content))
+        score = rouge_score([t for t in gen if t != EOS_ID], list(pair.summary_content))
         record = {
             "id": i,
             "token_ids": gen,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 # BLAS on one thread, as in perfbench/run.py: two BLAS threads on a two-CPU
 # machine thrash whenever another process holds one of the CPUs. This has to
@@ -87,3 +89,12 @@ def write_jsonl(path, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
+
+
+def perfbench_spans():
+    """``perfbench/spans.py``, loaded from its file: the benchmark is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

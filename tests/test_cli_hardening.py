@@ -354,17 +354,38 @@ def test_fewshot_size_below_one(setup, capsys, monkeypatch, command, size):
         ("ablate", ["--prompt-len-de", "3"], "shared prompts require len_en == len_de"),
         ("build-pseudo", ["--strategy", "lead", "--lead-n", "0"], "lead_n must be >= 1, got 0"),
         ("build-pseudo", ["--strategy", "gsg", "--m", "0"], "gap-sentence count m must be >= 1, got 0"),
+        ("pretrain-prompts", ["--d", "0"], "all model dimensions must be >= 1"),
+        ("pretrain-prompts", ["--layers", "0"], "all model dimensions must be >= 1"),
+        ("pretrain-prompts", ["--max-pos", "0"], "all model dimensions must be >= 1"),
+        ("pretrain-prompts", ["--d", "64", "--heads", "3"], "d=64 must be divisible by heads=3"),
+        ("pretrain-backbone", ["--ffn", "0"], "all model dimensions must be >= 1"),
+        ("ablate", ["--d", "10", "--heads", "4"], "d=10 must be divisible by heads=4"),
+        (
+            "pretrain-prompts", ["--prompt-len-en", "5000"],
+            "prompt lengths: encoder length 5001 (len_en 5000 + 1 source tokens) exceeds max_pos 40",
+        ),
+        (
+            "pretrain-prompts", ["--prompt-len-de", "40"],
+            "prompt lengths: decoder length 41 (len_de 40 + 1 target tokens) exceeds max_pos 40",
+        ),
+        (
+            "ablate", ["--prompt-len-en", "2000", "--prompt-len-de", "2000"],
+            "prompt lengths: encoder length 2001 (len_en 2000 + 1 source tokens) exceeds max_pos 40",
+        ),
     ],
     ids=[
         "pretrain-prompts-max-src-tokens", "generate-max-src-tokens", "ablate-k-grid",
         "pretrain-prompts-k", "pretrain-prompts-k-with-n-max", "ablate-k", "pretrain-prompts-prompt-len",
         "ablate-prompt-len", "pretrain-prompts-percentile", "ablate-percentile", "pretrain-prompts-shared",
-        "ablate-shared", "build-pseudo-lead-n", "build-pseudo-m",
+        "ablate-shared", "build-pseudo-lead-n", "build-pseudo-m", "pretrain-prompts-d", "pretrain-prompts-layers",
+        "pretrain-prompts-max-pos", "pretrain-prompts-heads", "pretrain-backbone-ffn", "ablate-heads",
+        "pretrain-prompts-encoder-prompt", "pretrain-prompts-decoder-prompt", "ablate-prompts",
     ],
 )
 def test_bad_input_setting_is_refused_before_the_run(setup, capsys, command, setting, message):
     extra = {
         "pretrain-prompts": _NEW_MODEL,
+        "pretrain-backbone": _NEW_MODEL[:10],
         "generate": ["--checkpoint", str(setup / "ckpt.npz")],
         "ablate": [*_NEW_MODEL, "--fewshot-size", "2"],
         "build-pseudo": [],

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptsum import autodiff as ad
+from promptsum import training
 from promptsum.corpus import EOS_ID, PAD_ID, SummaryPair
-from promptsum.decoding import beam_search
+from promptsum.decoding import beam_search, greedy_decode
 from promptsum.model import STRATEGIES, PromptConfig, forward, init_prompts
+from promptsum.rouge import rouge_l_f1, rouge_n_f1
 from promptsum.training import (
     MODES,
     TrainConfig,
@@ -652,3 +654,95 @@ class TestRunStage:
         # epoch 2 scored best; returned prompts must match that snapshot
         for name, t in state.prompts.named_tensors().items():
             np.testing.assert_array_equal(t.data, snaps[1][name])
+
+
+def reference_dev_rouge1(backbone, prompts, pconfig, dev, generations=None):
+    """The dev pass in its own loop, as ``training`` ran it before it became one
+    ``evaluate`` call at beam 1: greedy-decode each document up to the longest
+    summary (EOS included), drop EOS, average the ROUGE-1 F1s. Appends each
+    decode, its cap and its reference to ``generations`` when given."""
+    max_len = max(len(p.summary) for p in dev)
+    scores = []
+    for pair in dev:
+        gen = greedy_decode(backbone, prompts, pconfig, pair.document, max_len=max_len)
+        if generations is not None:
+            generations.append((list(gen), max_len, pair.summary_content))
+        cand = [t for t in gen if t != EOS_ID]
+        scores.append(rouge_n_f1(cand, pair.summary_content, 1))
+    return float(np.mean(scores))
+
+
+@st.composite
+def _dev_cases(draw):
+    """A model of any strategy and mode, train and dev pairs, epochs and a seed.
+    A vocabulary of 6-9 ids makes EOS-first decodes common; dev summaries of
+    0-3 words plus EOS cap the decode at 1-4 tokens."""
+    vocab = draw(st.integers(6, 9))
+    len_en = draw(st.integers(0, 3))
+    shared = draw(st.booleans())
+    model = dict(
+        seed=draw(st.integers(0, 10_000)),
+        vocab=vocab,
+        layers=draw(st.integers(1, 2)),
+        len_en=len_en,
+        len_de=len_en if shared else draw(st.integers(0, 3)),
+        shared=shared,
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        k=draw(st.integers(1, 3)),
+    )
+    words = st.lists(st.integers(4, vocab - 1), min_size=1, max_size=4)
+    summary = st.lists(st.integers(4, vocab - 1), max_size=3).map(lambda ids: tuple(ids) + (EOS_ID,))
+    pair = st.builds(lambda doc, ids: SummaryPair(make_doc(*doc), ids), st.lists(words, min_size=1, max_size=3), summary)
+    train, dev = draw(st.lists(pair, min_size=1, max_size=3)), draw(st.lists(pair, min_size=1, max_size=3))
+    return model, draw(st.sampled_from(MODES)), train, dev, draw(st.integers(1, 3)), draw(st.integers(0, 100))
+
+
+def _staged(case, dev_pass):
+    """run_stage on a fresh build of the case's model, with ``dev_pass`` as the
+    dev scorer. Returns the loss history (floats as hex, no wall times), the
+    selection and the trainable tensors' bytes."""
+    model, mode, train, dev, epochs, seed = case
+    backbone, prompts, _ = tiny_model(**model)
+    config = _quick_config(mode=mode, epochs=epochs, seed=seed)
+    original = training._dev_rouge1
+    training._dev_rouge1 = dev_pass
+    try:
+        state = run_stage(train, dev, init_train_state(prompts, backbone, config), backbone, config)
+    finally:
+        training._dev_rouge1 = original
+    rows = [
+        {k: v.hex() if isinstance(v, float) else v for k, v in row.items() if k not in ("wall_s", "dev_s")}
+        for row in state.loss_history
+    ]
+    tensors = {n: t.data.tobytes() for n, t in trainable_tensors(backbone, state.prompts, mode).items()}
+    return rows, state.selected, tensors
+
+
+class TestDevPass:
+    """run_stage's dev pass, one ``evaluate`` call at beam 1, against the old loop."""
+
+    def test_equals_the_old_loop_on_eos_first_and_capped_decodes(self):
+        # Over three epochs this case decodes EOS first, runs into the
+        # five-token cap, and scores a decode whose ROUGE-L differs from its
+        # ROUGE-1 (so a report field mixed up would show).
+        dev = [
+            make_pair(make_doc([6, 6, 6]), [6, 5, 4, 6]),
+            make_pair(make_doc([6, 4, 4]), [6, 4, 6]),
+            make_pair(make_doc([5, 4, 5]), [4, 6, 6]),
+        ]
+        case = (dict(seed=50, vocab=7, strategy="none"), "prompt_only", _pairs(3, seed=3, vocab=7), dev, 3, 0)
+        generations = []
+        oracle = _staged(case, lambda b, p, c, d: reference_dev_rouge1(b, p, c, d, generations))
+        assert _staged(case, training._dev_rouge1) == oracle
+        assert any(gen[0] == EOS_ID for gen, _, _ in generations)
+        assert any(len(gen) == max_len and EOS_ID not in gen for gen, max_len, _ in generations)
+        stripped = [([t for t in gen if t != EOS_ID], ref) for gen, _, ref in generations]
+        assert any(rouge_n_f1(cand, ref, 1) != rouge_l_f1(cand, ref) for cand, ref in stripped)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_dev_cases())
+    def test_epoch_rows_equal_the_old_loops(self, case):
+        rows, selected, tensors = _staged(case, training._dev_rouge1)
+        oracle_rows, oracle_selected, oracle_tensors = _staged(case, reference_dev_rouge1)
+        assert [r for r in rows if "epoch" in r] == [r for r in oracle_rows if "epoch" in r]
+        assert (rows, selected, tensors) == (oracle_rows, oracle_selected, oracle_tensors)
