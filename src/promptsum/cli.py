@@ -21,6 +21,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import cache
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -718,7 +719,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves no state on it."""
     parser = _Parser(prog="promptsum")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
@@ -758,9 +761,10 @@ def dispatch(argv=None) -> int:
         if hasattr(args, "backbone") and args.backbone is None:  # the model is built from flags
             sizes = {key: cfg[key] for key in ("d", "layers", "heads", "ffn", "max_pos")}
             args.dims = ModelDims(vocab=len(RESERVED_TOKENS) + 1, **sizes)  # vocab: a stand-in until the file is read
-            if hasattr(args, "prompt_len_en"):  # a source and a target token must fit after the prompts
+            if hasattr(args, "prompt_len_en"):  # a source token and the targets must fit after the prompts
                 lengths = PromptConfig(cfg["prompt_len_en"], cfg["prompt_len_de"], strategy="none")
-                check_rows(lengths, args.dims.max_pos, source=1, targets=1, where="prompt lengths: ")
+                targets = cfg["max_len"] if hasattr(args, "max_len") else 1  # a decode runs max_len rows
+                check_rows(lengths, args.dims.max_pos, source=1, targets=targets, where="prompt lengths: ")
         strategy = getattr(args, "pseudo_strategy", None)
         if strategy == "lead" and cfg["lead_n"] < 1:
             raise CliError(f"lead_n must be >= 1, got {cfg['lead_n']}")

@@ -10,9 +10,11 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -74,10 +76,9 @@ class Vocab:
 
 def build_vocab(texts: list[str], min_freq: int = 1) -> Vocab:
     """Build a vocabulary from raw texts, ordered by frequency then token."""
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     for text in texts:
-        for tok in _TOKEN_RE.findall(text.lower()):
-            counts[tok] = counts.get(tok, 0) + 1
+        counts.update(_TOKEN_RE.findall(text.lower()))
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq and tok not in RESERVED_TOKENS),
         key=lambda tok: (-counts[tok], tok),
@@ -119,14 +120,14 @@ class Document:
 
     @cached_property
     def flat(self) -> tuple[int, ...]:
-        return tuple(tok for sent in self.sentences for tok in sent)
+        return tuple(chain.from_iterable(self.sentences))
 
     @property
     def flat_length(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return sum(map(len, self.sentences))
 
     def sentence_lengths(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.sentences)
+        return tuple(map(len, self.sentences))
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,7 @@ def split_sentences(text: str) -> list[str]:
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:
     """Lowercase and tokenize; unknown tokens map to UNK. Total on strings."""
-    lookup = vocab.token_to_id.get
-    return [lookup(tok, UNK_ID) for tok in _TOKEN_RE.findall(text.lower())]
+    return list(map(vocab.token_to_id.get, _TOKEN_RE.findall(text.lower()), repeat(UNK_ID)))
 
 
 def detokenize(ids, vocab: Vocab) -> str:

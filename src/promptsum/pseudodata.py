@@ -10,8 +10,10 @@ the few-shot reference scores.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .corpus import EOS_ID, Document, SummaryPair
 from .rouge import overlap_f1, rouge_n_f1
@@ -90,7 +92,7 @@ def build_lead_pair(
     rest_len = sum(len(s) for s in rest)
     if rest_len < summary_len:
         return Rejection(REASON_SOURCE_SHORTER)
-    summary = tuple(tok for sent in summary_sents for tok in sent) + (EOS_ID,)
+    summary = tuple(chain.from_iterable(summary_sents)) + (EOS_ID,)
     return SummaryPair(Document(tuple(rest)), summary)
 
 
@@ -98,19 +100,26 @@ def gsg_scores(doc: Document) -> GsgScores:
     """ROUGE-1 F1 of each sentence against the rest of the document.
 
     The document's unigrams are counted once: a sentence whose own count of
-    token t is c finds total[t] - c copies of t in the rest, so each score
-    costs one pass over its sentence.
+    token t is c finds total[t] - c copies of t in the rest. One ``np.unique``
+    over the keys ``sentence * n_ids + token`` gives every sentence's own
+    counts, grouped by sentence, and one ``bincount`` the document totals.
     """
     if len(doc.sentences) < 2:
         raise DegenerateDocumentError("need at least 2 sentences to score gaps")
-    total = Counter(tok for sent in doc.sentences for tok in sent)
-    flat_length = doc.flat_length
-    scores = []
-    for sent in doc.sentences:
-        own = Counter(sent)
-        overlap = sum(min(c, total[tok] - c) for tok, c in own.items())
-        scores.append(overlap_f1(overlap, len(sent), flat_length - len(sent)))
-    return GsgScores(tuple(scores))
+    lengths = doc.sentence_lengths()
+    flat = np.array(doc.flat, dtype=np.int64)
+    n_ids = int(flat.max()) + 1
+    sentence = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    keys, own = np.unique(sentence * n_ids + flat, return_counts=True)
+    total = np.bincount(flat)
+    shared = np.minimum(own, total[keys % n_ids] - own)
+    # Every sentence has a token, so each one starts a run of keys.
+    starts = np.flatnonzero(np.diff(keys // n_ids, prepend=-1))
+    overlaps = np.add.reduceat(shared, starts).tolist()
+    flat_length = len(flat)
+    return GsgScores(tuple(
+        overlap_f1(overlap, n, flat_length - n) for overlap, n in zip(overlaps, lengths)
+    ))
 
 
 def select_gsg_indices(doc: Document, m: int) -> list[int]:
@@ -133,7 +142,7 @@ def build_gsg_pair(doc: Document, m: int = 1) -> SummaryPair | Rejection:
     if len(doc.sentences) < m + 1:
         return Rejection(REASON_TOO_FEW_SENTENCES)
     selected = select_gsg_indices(doc, m)
-    summary = tuple(tok for i in selected for tok in doc.sentences[i]) + (EOS_ID,)
+    summary = tuple(chain.from_iterable(doc.sentences[i] for i in selected)) + (EOS_ID,)
     chosen = set(selected)
     remaining = tuple(doc.sentences[i] for i in range(len(doc.sentences)) if i not in chosen)
     return SummaryPair(Document(remaining), summary)

@@ -198,7 +198,7 @@ _NEW_MODEL = [
         ("pretrain-backbone", "--data", _NEW_MODEL[:10]),
         ("finetune", "--train", ["--checkpoint", "{ckpt}"]),
         ("finetune", "--data", ["--checkpoint", "{ckpt}", "--fewshot-size", "4"]),
-        ("ablate", "--data", _NEW_MODEL + ["--fewshot-size", "4"]),
+        ("ablate", "--data", _NEW_MODEL + ["--fewshot-size", "4", "--max-len", "4"]),
     ],
     ids=["pretrain-prompts", "pretrain-prompts-dev", "pretrain-backbone", "finetune-train", "finetune-fewshot", "ablate"],
 )
@@ -372,6 +372,10 @@ def test_fewshot_size_below_one(setup, capsys, monkeypatch, command, size):
             "ablate", ["--prompt-len-en", "2000", "--prompt-len-de", "2000"],
             "prompt lengths: encoder length 2001 (len_en 2000 + 1 source tokens) exceeds max_pos 40",
         ),
+        (
+            "ablate", ["--max-len", "37"],
+            "prompt lengths: decoder length 41 (len_de 4 + 37 target tokens) exceeds max_pos 40",
+        ),
     ],
     ids=[
         "pretrain-prompts-max-src-tokens", "generate-max-src-tokens", "ablate-k-grid",
@@ -379,7 +383,7 @@ def test_fewshot_size_below_one(setup, capsys, monkeypatch, command, size):
         "ablate-prompt-len", "pretrain-prompts-percentile", "ablate-percentile", "pretrain-prompts-shared",
         "ablate-shared", "build-pseudo-lead-n", "build-pseudo-m", "pretrain-prompts-d", "pretrain-prompts-layers",
         "pretrain-prompts-max-pos", "pretrain-prompts-heads", "pretrain-backbone-ffn", "ablate-heads",
-        "pretrain-prompts-encoder-prompt", "pretrain-prompts-decoder-prompt", "ablate-prompts",
+        "pretrain-prompts-encoder-prompt", "pretrain-prompts-decoder-prompt", "ablate-prompts", "ablate-max-len",
     ],
 )
 def test_bad_input_setting_is_refused_before_the_run(setup, capsys, command, setting, message):
@@ -529,7 +533,7 @@ def test_bad_training_setting_is_refused_before_the_run(setup, capsys, command, 
     extra = {
         "pretrain-prompts": _NEW_MODEL,
         "finetune": ["--checkpoint", str(setup / "ckpt.npz"), "--fewshot-size", "2"],
-        "ablate": [*_NEW_MODEL, "--fewshot-size", "2"],
+        "ablate": [*_NEW_MODEL, "--fewshot-size", "2", "--max-len", "4"],
     }[command]
     rc = dispatch([
         command, *extra, "--data", str(setup / "data.jsonl"), "--vocab", str(setup / "v" / "vocab.txt"),

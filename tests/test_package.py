@@ -17,17 +17,27 @@ _PROBE = (
 )
 
 
-def test_importing_the_package_loads_no_other_module():
-    # Nothing process-wide is set at import: no allocator or thread setting,
-    # no foreign-function library, not even NumPy until a submodule asks for it.
+def _probe(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter that imports this package."""
     env = dict(os.environ)
     src = str(Path(promptsum.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "['promptsum']"
+    return out.stdout.strip()
+
+
+def test_importing_the_package_loads_no_other_module():
+    # Nothing process-wide is set at import: no allocator or thread setting,
+    # no foreign-function library, not even NumPy until a submodule asks for it.
+    assert _probe(_PROBE) == "['promptsum']"
+
+
+def test_importing_the_cli_builds_no_parser():
+    # The parser is built on the first dispatch, not at import.
+    assert _probe("import promptsum.cli as cli; print(cli.build_parser.cache_info().currsize)") == "0"
 
 
 def _imported_names(tree: ast.Module) -> set[str]:
