@@ -151,19 +151,6 @@ def add(a, b) -> Tensor:
     return _result(out_data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data * b.data
-
-    def backward(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
-        )
-
-    return _result(out_data, (a, b), backward)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
         return (g * s,)
@@ -206,15 +193,6 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
         return (g.transpose(inverse),)
 
     return _result(a.data.transpose(axes), (a,), backward)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old_shape = a.data.shape
-
-    def backward(g):
-        return (g.reshape(old_shape),)
-
-    return _result(a.data.reshape(shape), (a,), backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:

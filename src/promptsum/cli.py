@@ -32,7 +32,6 @@ from .corpus import (
     Document,
     EmptyDocumentError,
     ParseError,
-    SummaryPair,
     Vocab,
     atomic_open,
     build_vocab,
@@ -69,7 +68,7 @@ from .pseudodata import (
     compute_filter_threshold,
     filter_pseudo,
 )
-from .training import MODES, TrainConfig, TrainingDivergedError, check_lengths, init_train_state, run_stage
+from .training import MODES, TrainConfig, TrainingDivergedError, init_train_state, run_stage
 
 
 class CliError(ValueError):
@@ -248,10 +247,27 @@ def _write_train_log(out_dir, history: list[dict]) -> None:
 
 
 def _load(args, flag: str, vocab: Vocab, cfg: dict, run: dict) -> Dataset:
-    """The dataset named by ``--<flag>``; its skipped-record count goes to the manifest."""
+    """The dataset named by ``--<flag>``, empty when the flag is not given; the
+    skipped-record count of a file read goes to the manifest."""
+    if getattr(args, flag) is None:
+        return Dataset()
     data = load_dataset(getattr(args, flag), vocab, cfg["max_src_tokens"])
     run["n_skipped"][flag] = data.skipped
     return data
+
+
+def _check_lengths(data: Dataset, flag: str, configs: list[PromptConfig], max_pos: int, drawn=None) -> None:
+    """Refuse, before any training work, a pair of ``data`` that the model has no positions
+    for under one of ``configs`` (see ``model.check_rows``): every pair, or only those in
+    ``drawn``, the pairs a few-shot split took. The error names ``flag`` and the record number."""
+    ids = None if drawn is None else {id(pair) for pair in drawn}
+    for config in configs:
+        for record, pair in zip(data.records, data):
+            if ids is None or id(pair) in ids:
+                check_rows(
+                    config, max_pos, source=pair.document.flat_length, targets=len(pair.summary),
+                    where=f"{flag} record {record}: ",
+                )
 
 
 def _check_vocab(backbone, vocab: Vocab, source: str) -> None:
@@ -295,34 +311,11 @@ def _prompt_config(cfg: dict, docs: list[Document]) -> PromptConfig:
     )
 
 
-def _check_prompt_settings(cfg: dict, every_variant: bool) -> None:
-    """The checks of ``compute_n_max`` and ``PromptConfig`` that need no corpus,
-    with their messages. ``every_variant``: ablate trains fixed_k, sequential
-    and shared variants whatever ``strategy`` and ``shared`` say."""
-    len_en, len_de, k = cfg["prompt_len_en"], cfg["prompt_len_de"], cfg["k"]
-    fixed_k = every_variant or cfg["strategy"] == "fixed_k"
-    derived = cfg["n_max"] < 1 and (fixed_k or cfg["strategy"] == "sequential")  # by compute_n_max
-    if fixed_k and k < 1:
-        raise CliError(f"span length k must be >= 1, got {k}" if derived else "fixed_k requires k >= 1")
-    if derived and not 0.0 < cfg["percentile"] <= 1.0:
-        raise CliError("percentile must be in (0, 1]")
-    if len_en < 0 or len_de < 0:
-        raise CliError("prompt lengths must be >= 0")
-    if len_en != len_de and (every_variant or cfg["shared"]):
-        raise CliError("shared prompts require len_en == len_de")
-
-
 def _train_config(cfg: dict, stage: str) -> TrainConfig:
     """The stage's settings; ``resolve_config`` leaves one of its two warmup keys."""
     stage_keys = {key: cfg.get(f"{stage}_{key}") for key in _STAGE_KEYS}
     shared = {key: cfg[key] for key in ("batch", "grad_accum", "beta1", "beta2", "seed")}
     return TrainConfig(mode=cfg.get("mode", "prompt_only"), **stage_keys, **shared)
-
-
-def _used(pool: list, chosen) -> list[tuple[int, SummaryPair]]:
-    """(index in ``pool``, pair) for each pair of ``pool`` that is one of ``chosen``."""
-    ids = {id(pair) for pair in chosen}
-    return [(i, pair) for i, pair in enumerate(pool) if id(pair) in ids]
 
 
 def _train(args, prompts, backbone, train: list, dev: list):
@@ -359,8 +352,8 @@ def _render_document(doc: Document, vocab: Vocab) -> str:
 def cmd_build_vocab(args, cfg: dict, run: dict) -> None:
     texts = []
     for _, record in read_records(args.data):
-        texts.append(str(record.get("document", "")))
-        texts.append(str(record.get("summary", "")))
+        texts.append(record.get("document", ""))
+        texts.append(record.get("summary", ""))
     vocab = build_vocab(texts, min_freq=args.min_freq)
     save_vocab(vocab, os.path.join(args.out, "vocab.txt"))
     print(f"vocab: {len(vocab)} tokens")
@@ -372,7 +365,7 @@ def cmd_build_pseudo(args, cfg: dict, run: dict) -> None:
     for lineno, record in read_records(args.data):
         if "document" not in record:
             raise ParseError(f"{args.data}: line {lineno}: record must have 'document'")
-        texts.append(str(record["document"]))
+        texts.append(record["document"])
     pairs = []
     rejected: dict[str, int] = {}
     unreadable = 0
@@ -442,7 +435,7 @@ def cmd_pretrain_backbone(args, cfg: dict, run: dict) -> None:
     data = _load(args, "data", vocab, cfg, run)
     backbone = _backbone_from_args(args, cfg, vocab)
     config = PromptConfig(len_en=0, len_de=0, strategy="none")
-    check_lengths(enumerate(data), config, backbone.dims.max_pos, "--data")
+    _check_lengths(data, "--data", [config], backbone.dims.max_pos)
     prompts = init_prompts(config, backbone, cfg["seed"])
     state = _train(args, prompts, backbone, data, [])
     _save_trained(args, backbone, state, "pretrained backbone", run)
@@ -451,11 +444,11 @@ def cmd_pretrain_backbone(args, cfg: dict, run: dict) -> None:
 def cmd_pretrain_prompts(args, cfg: dict, run: dict) -> None:
     vocab = load_vocab(args.vocab)
     data = _load(args, "data", vocab, cfg, run)
-    dev = _load(args, "dev", vocab, cfg, run) if args.dev else []
+    dev = _load(args, "dev", vocab, cfg, run)
     backbone = _backbone_from_args(args, cfg, vocab)
     config = _prompt_config(cfg, [p.document for p in data])
-    check_lengths(enumerate(data), config, backbone.dims.max_pos, "--data")
-    check_lengths(enumerate(dev), config, backbone.dims.max_pos, "--dev")
+    _check_lengths(data, "--data", [config], backbone.dims.max_pos)
+    _check_lengths(dev, "--dev", [config], backbone.dims.max_pos)
     prompts = init_prompts(config, backbone, cfg["seed"])
     state = _train(args, prompts, backbone, data, dev)
     _save_trained(args, backbone, state, "pretrained prompts", run)
@@ -466,14 +459,14 @@ def cmd_finetune(args, cfg: dict, run: dict) -> None:
     max_pos = backbone.dims.max_pos
     if args.train:
         train = _load(args, "train", vocab, cfg, run)
-        dev = _load(args, "dev", vocab, cfg, run) if args.dev else []
-        check_lengths(enumerate(train), prompts.config, max_pos, "--train")
-        check_lengths(enumerate(dev), prompts.config, max_pos, "--dev")
+        dev = _load(args, "dev", vocab, cfg, run)
+        _check_lengths(train, "--train", [prompts.config], max_pos)
+        _check_lengths(dev, "--dev", [prompts.config], max_pos)
     else:  # dispatch has checked that --data is given
         pairs = _load(args, "data", vocab, cfg, run)
         split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
         train, dev = list(split.train), list(split.dev)
-        check_lengths(_used(pairs, train + dev), prompts.config, max_pos, "--data")
+        _check_lengths(pairs, "--data", [prompts.config], max_pos, train + dev)
     state = _train(args, prompts, backbone, train, dev)
     _save_trained(args, backbone, state, "finetuned", run)
 
@@ -539,22 +532,26 @@ _ABLATION_VARIANTS = (
 )
 
 
+def _ablation_variants(cfg: dict, docs: list[Document], k_grid) -> list[tuple[str, PromptConfig]]:
+    """(name, prompt config) of each variant ``ablate`` trains: the placements and
+    strategies, then fixed_k at each ``--k-grid`` value."""
+    k_sweep = tuple((f"fixed_k k={k}", {"strategy": "fixed_k", "k": k}) for k in k_grid or ())
+    placed = dict.fromkeys(("shared", "encoder_only", "decoder_only"), False)
+    return [
+        (name, replace(_prompt_config({**cfg, **overrides}, docs), **{**placed, **overrides}))
+        for name, overrides in _ABLATION_VARIANTS + k_sweep
+    ]
+
+
 def cmd_ablate(args, cfg: dict, run: dict) -> None:
     vocab = load_vocab(args.vocab)
     pairs = _load(args, "data", vocab, cfg, run)
     split = sample_fewshot(pairs, cfg["fewshot_size"], cfg["seed"])
     backbone = _backbone_from_args(args, cfg, vocab)
-    train_docs = [p.document for p in split.train]
-
-    k_sweep = tuple((f"fixed_k k={k}", {"strategy": "fixed_k", "k": k}) for k in args.k_grid or ())
-    placed = dict.fromkeys(("shared", "encoder_only", "decoder_only"), False)
-    variants = [
-        (name, replace(_prompt_config({**cfg, **overrides}, train_docs), **{**placed, **overrides}))
-        for name, overrides in _ABLATION_VARIANTS + k_sweep
-    ]
-    used = _used(pairs, split.train + split.dev)
-    for _, config in variants:
-        check_lengths(used, config, backbone.dims.max_pos, "--data")
+    variants = _ablation_variants(cfg, [p.document for p in split.train], args.k_grid)
+    configs = [config for _, config in variants]
+    _check_lengths(pairs, "--data", configs, backbone.dims.max_pos, split.train + split.dev)
+    for config in configs:
         check_rows(config, backbone.dims.max_pos, targets=cfg["max_len"], where=f"max_len {cfg['max_len']}: ")
 
     # Variants of one prompt config (placement=both and strategy=none; a k-grid value
@@ -756,15 +753,19 @@ def dispatch(argv=None) -> int:
         for k in getattr(args, "k_grid", None) or ():
             if k < 1:
                 raise CliError(f"--k-grid values must be >= 1, got {k}")
-        if hasattr(args, "prompt_len_en"):
-            _check_prompt_settings(cfg, every_variant=args.command == "ablate")
+        if hasattr(args, "prompt_len_en"):  # the run's prompt configs, on a stand-in corpus of one token
+            stand_in = [Document(((len(RESERVED_TOKENS),),))]
+            if args.command == "ablate":
+                configs = [config for _, config in _ablation_variants(cfg, stand_in, args.k_grid)]
+            else:
+                configs = [_prompt_config(cfg, stand_in)]
         if hasattr(args, "backbone") and args.backbone is None:  # the model is built from flags
             sizes = {key: cfg[key] for key in ("d", "layers", "heads", "ffn", "max_pos")}
             args.dims = ModelDims(vocab=len(RESERVED_TOKENS) + 1, **sizes)  # vocab: a stand-in until the file is read
             if hasattr(args, "prompt_len_en"):  # a source token and the targets must fit after the prompts
-                lengths = PromptConfig(cfg["prompt_len_en"], cfg["prompt_len_de"], strategy="none")
                 targets = cfg["max_len"] if hasattr(args, "max_len") else 1  # a decode runs max_len rows
-                check_rows(lengths, args.dims.max_pos, source=1, targets=targets, where="prompt lengths: ")
+                for config in configs:
+                    check_rows(config, args.dims.max_pos, source=1, targets=targets, where="prompt lengths: ")
         strategy = getattr(args, "pseudo_strategy", None)
         if strategy == "lead" and cfg["lead_n"] < 1:
             raise CliError(f"lead_n must be >= 1, got {cfg['lead_n']}")

@@ -252,7 +252,8 @@ def read_lines(path):
 
 
 def read_records(path):
-    """(line number, record) for every non-blank JSONL line; each must be an object."""
+    """(line number, record) for every non-blank JSONL line; each must be an object
+    whose ``document`` and ``summary``, where present, are strings."""
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
@@ -262,6 +263,9 @@ def read_records(path):
             raise ParseError(f"{path}: line {lineno}: invalid record: {exc}") from exc
         if not isinstance(record, dict):
             raise ParseError(f"{path}: line {lineno}: record must be a JSON object")
+        for key in ("document", "summary"):
+            if not isinstance(record.get(key, ""), str):
+                raise ParseError(f"{path}: line {lineno}: {key!r} must be a string")
         yield lineno, record
 
 
@@ -286,13 +290,16 @@ def atomic_open(path, mode: str = "w"):
 
 
 class Dataset(list):
-    """The pairs of a dataset file; ``skipped`` counts the records dropped as empty."""
+    """The pairs of a dataset file; ``skipped`` counts the records dropped as empty, and
+    ``records`` holds each pair's record number: its place among the file's non-blank
+    lines, from 0, skipped records included."""
 
-    __slots__ = ("skipped",)
+    __slots__ = ("skipped", "records")
 
-    def __init__(self, pairs, skipped: int) -> None:
+    def __init__(self, pairs=(), skipped: int = 0, records=()) -> None:
         super().__init__(pairs)
         self.skipped = skipped
+        self.records = tuple(records)
 
 
 def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> Dataset:
@@ -304,12 +311,13 @@ def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> Dataset:
     returned list's ``skipped``.
     """
     pairs: list[SummaryPair] = []
+    records: list[int] = []
     skipped = 0
-    for lineno, record in read_records(path):
+    for record_no, (lineno, record) in enumerate(read_records(path)):
         if "document" not in record or "summary" not in record:
             raise ParseError(f"{path}: line {lineno}: record must have 'document' and 'summary'")
-        doc_text = str(record["document"]).strip()
-        sum_text = str(record["summary"]).strip()
+        doc_text = record["document"].strip()
+        sum_text = record["summary"].strip()
         if not doc_text or not sum_text:
             skipped += 1
             continue
@@ -320,9 +328,10 @@ def load_dataset(path, vocab: Vocab, max_src_tokens: int = 1024) -> Dataset:
             skipped += 1
             continue
         pairs.append(SummaryPair(doc, summary))
+        records.append(record_no)
     if not pairs:
         raise EmptyDatasetError(f"{path}: no valid records")
-    return Dataset(pairs, skipped)
+    return Dataset(pairs, skipped, records)
 
 
 def sample_fewshot(pairs: list[SummaryPair], size: int, seed: int) -> FewShotSplit:

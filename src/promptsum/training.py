@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .model import (
     BackboneParams,
     PromptConfig,
     PromptSet,
-    check_rows,
     # Unused here, but perfbench/spans.py wraps both at this import site too.
     decode_logits,
     encode_source,
@@ -136,19 +134,6 @@ def batch_mean_nll(
     logits, targets = teacher_forced_logits(backbone, prompts, pconfig, pairs)
     total, n_tokens = ad.cross_entropy_sum(logits, targets, ignore_id=PAD_ID)
     return ad.scale(total, 1.0 / n_tokens), n_tokens
-
-
-def check_lengths(
-    pairs: Iterable[tuple[int, SummaryPair]], config: PromptConfig, max_pos: int, source: str
-) -> None:
-    """Reject, before any training work, a pair the model has no positions for
-    (see ``model.check_rows``). ``pairs`` yields (record index, pair); the error
-    names ``source`` and the index."""
-    for i, pair in pairs:
-        check_rows(
-            config, max_pos, source=pair.document.flat_length, targets=len(pair.summary),
-            where=f"{source} record {i}: ",
-        )
 
 
 def _chunk(batch: list, n_chunks: int) -> list[list]:

@@ -10,6 +10,25 @@ from promptsum.autodiff import Tensor
 from promptsum.model import _causal_mask
 
 
+def _mul(a, b) -> Tensor:
+    """Elementwise product as a tape node, to build test graphs and reductions."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+
+    def backward(g):
+        return (
+            ad._unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            ad._unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
+        )
+
+    return ad._result(a.data * b.data, (a, b), backward)
+
+
+def _reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Reshape as a tape node, to build test graphs and reductions."""
+    old_shape = a.data.shape
+    return ad._result(a.data.reshape(shape), (a,), lambda g: (g.reshape(old_shape),))
+
+
 def _numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     g = np.zeros_like(x)
     flat = x.reshape(-1)
@@ -38,9 +57,9 @@ def _check_op(build, *shapes, seed=0, atol=1e-7):
 
 def _total(x: Tensor) -> Tensor:
     # Reduce to a scalar through ops under test (sum via matmul with ones).
-    flat = ad.reshape(x, (1, int(np.prod(x.shape))))
+    flat = _reshape(x, (1, int(np.prod(x.shape))))
     ones = Tensor(np.ones((int(np.prod(x.shape)), 1)))
-    return ad.reshape(ad.matmul(flat, ones), ())
+    return _reshape(ad.matmul(flat, ones), ())
 
 
 def test_add_broadcast_gradients():
@@ -49,8 +68,8 @@ def test_add_broadcast_gradients():
 
 
 def test_mul_gradients():
-    _check_op(lambda a, b: _total(ad.mul(a, b)), (3, 4), (3, 4))
-    _check_op(lambda a, b: _total(ad.mul(a, b)), (3, 4), (4,))
+    _check_op(lambda a, b: _total(_mul(a, b)), (3, 4), (3, 4))
+    _check_op(lambda a, b: _total(_mul(a, b)), (3, 4), (4,))
 
 
 def test_scale_gradient():
@@ -82,7 +101,7 @@ def test_linear_is_the_matmul_add_chain_bit_for_bit():
     def run(op):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         out = op(*leaves)
-        _total(ad.mul(out, Tensor(g))).backward()
+        _total(_mul(out, Tensor(g))).backward()
         return [out.data] + [t.grad for t in leaves]
 
     got = run(ad.linear)
@@ -92,7 +111,7 @@ def test_linear_is_the_matmul_add_chain_bit_for_bit():
 
 def test_transpose_reshape_gradients():
     _check_op(lambda a: _total(ad.transpose(a, (1, 0, 2))), (2, 3, 4))
-    _check_op(lambda a: _total(ad.reshape(a, (6, 2))), (3, 4))
+    _check_op(lambda a: _total(_reshape(a, (6, 2))), (3, 4))
 
 
 def test_concat_rows_gradients():
@@ -171,7 +190,7 @@ def test_gelu_matches_the_pow_formula(pairs):
     x, g = (np.array(column) for column in zip(*pairs))
     xt = Tensor(x.copy(), requires_grad=True)
     out = ad.gelu(xt)
-    _total(ad.mul(out, Tensor(g))).backward()
+    _total(_mul(out, Tensor(g))).backward()
     want, want_grad = _reference_gelu(x, g)
     np.testing.assert_allclose(out.data, want, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(xt.grad, want_grad, rtol=1e-14, atol=1e-14)
@@ -221,7 +240,7 @@ def test_backward_requires_scalar():
 
 def test_gradient_accumulates_over_reuse():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    out = ad.reshape(ad.add(ad.mul(x, x), x), ())  # x^2 + x
+    out = _reshape(ad.add(_mul(x, x), x), ())  # x^2 + x
     out.backward()
     np.testing.assert_allclose(x.grad, [5.0])
 
@@ -229,7 +248,7 @@ def test_gradient_accumulates_over_reuse():
 def test_constants_collect_no_grad():
     x = Tensor(np.ones(3), requires_grad=True)
     c = Tensor(np.ones(3))
-    out = _total(ad.mul(x, c))
+    out = _total(_mul(x, c))
     out.backward()
     assert c.grad is None
     assert x.grad is not None
@@ -241,8 +260,8 @@ def test_no_grad_records_no_tape():
     w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     ones = Tensor(np.ones(4), requires_grad=True)
     with ad.no_grad():
-        made = [ad.add(x, x), ad.mul(x, x), ad.scale(x, 2.0), ad.matmul(x, w)]
-        made += [ad.transpose(x, (1, 0, 2)), ad.reshape(x, (6, 4)), ad.concat_rows([x, x])]
+        made = [ad.add(x, x), _mul(x, x), ad.scale(x, 2.0), ad.matmul(x, w)]
+        made += [ad.transpose(x, (1, 0, 2)), _reshape(x, (6, 4)), ad.concat_rows([x, x])]
         made += [ad.slice_rows(x, 0, 2), ad.take_rows(w, [0, 0, 3]), ad.gelu(x)]
         made += [ad.layer_norm(x, ones, ones), ad.attention(x, x, x, 2, 0.5), ad.linear(x, w, ones)]
         made += [ad.cross_entropy_sum(w, [0, 1, 2, 3])[0], Tensor(np.ones(2), requires_grad=True)]
@@ -306,7 +325,7 @@ def _unfused_attention(q, k, v, heads, scale, mask=None, capture=None):
     heads: one tape node each, as the model ran attention before the fused op."""
 
     def split(x):
-        x = ad.reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
+        x = _reshape(x, x.shape[:-1] + (heads, x.shape[-1] // heads))
         return ad.transpose(x, _swapped(x.data.ndim, -3, -2))
 
     q, k, v = split(q), split(k), split(v)
@@ -317,7 +336,7 @@ def _unfused_attention(q, k, v, heads, scale, mask=None, capture=None):
     if capture is not None:
         capture.append(probs.data.copy())
     out = ad.transpose(ad.matmul(probs, v), _swapped(probs.data.ndim, -3, -2))
-    return ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
+    return _reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
 
 
 def test_softmax_rows_sum_to_one_and_gradient():
@@ -325,7 +344,7 @@ def test_softmax_rows_sum_to_one_and_gradient():
     x = Tensor(rng.normal(size=(3, 7)))
     p = _softmax(x)
     np.testing.assert_allclose(p.data.sum(axis=-1), 1.0, atol=1e-12)
-    _check_op(lambda x: _total(ad.mul(_softmax(x), x)), (3, 5))
+    _check_op(lambda x: _total(_mul(_softmax(x), x)), (3, 5))
 
 
 @st.composite
@@ -395,7 +414,7 @@ def test_attention_matches_the_unfused_chain(case):
         probs = [] if capture else None
         out = op(*leaves, heads, scale, mask, probs)
         weights = Tensor(np.random.default_rng(seed).normal(size=out.shape))
-        _total(ad.mul(out, weights)).backward()
+        _total(_mul(out, weights)).backward()
         return out, leaves, probs
 
     out, leaves, probs = run(ad.attention)
@@ -436,7 +455,7 @@ def test_a_batch_row_past_the_exp_bound_leaves_the_other_rows_bitwise(monkeypatc
     def run(q, k, v, w):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
         out = ad.attention(*leaves, 2, 0.5)
-        _total(ad.mul(out, Tensor(w))).backward()
+        _total(_mul(out, Tensor(w))).backward()
         return out.data, [leaf.grad for leaf in leaves]
 
     for b in range(2):

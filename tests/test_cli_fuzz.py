@@ -2,14 +2,16 @@
 ``cli.dispatch``: every run either succeeds or ends in exactly one ``error:``
 line with exit code 1."""
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from promptsum import cli
 from promptsum.cli import dispatch, shipped_defaults
-from promptsum.corpus import load_vocab
-from promptsum.model import ModelDims, PromptConfig, init_backbone, init_prompts, save_checkpoint
+from promptsum.corpus import load_dataset, load_vocab, sample_fewshot
+from promptsum.model import STRATEGIES, ModelDims, PromptConfig, init_backbone, init_prompts, save_checkpoint
 
 from conftest import make_lead_corpus, write_jsonl
 
@@ -162,3 +164,70 @@ _MORE_MUTATIONS = (
 @given(case=st.sampled_from(_MORE_MUTATIONS), data=st.data())
 def test_more_mutated_input_files_succeed_or_fail_on_one_line(world, capsys, case, data):
     _run_mutated(world, capsys, *case, data)
+
+
+class _Reached(Exception):
+    """Raised in place of training: the run got past every check before it."""
+
+
+def _reach_training(*args, **kwargs):
+    raise _Reached
+
+
+_RUN_IDS = itertools.count()
+
+
+# No example trains: about 3 ms an example on 2 vCPUs.
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["pretrain-prompts", "ablate"]),
+    len_en=st.integers(-1, 4),
+    len_de=st.integers(-1, 4),
+    strategy=st.sampled_from(STRATEGIES),
+    k=st.integers(-1, 3),
+    n_max=st.integers(-1, 3),
+    percentile=st.sampled_from([0.0, 0.4, 0.85, 1.0, 1.5]),
+    shared=st.booleans(),
+)
+def test_prompt_settings_are_refused_before_the_run_as_the_handler_refuses_them(
+    world, capsys, monkeypatch, command, len_en, len_de, strategy, k, n_max, percentile, shared
+):
+    # The pre-run step builds the prompt configs on a stand-in corpus; the handler
+    # builds them on the real one. Both must raise for the same settings, with the
+    # same message, and the pre-run step must raise before --out exists.
+    monkeypatch.setattr(cli, "_train", _reach_training)
+    prompt_settings = {
+        "prompt_len_en": len_en, "prompt_len_de": len_de, "strategy": strategy,
+        "k": k, "n_max": n_max, "percentile": percentile, "shared": shared,
+    }
+    cfg = shipped_defaults() | prompt_settings
+    vocab = load_vocab(world / "v" / "vocab.txt")
+    pairs = load_dataset(world / "data.jsonl", vocab, cfg["max_src_tokens"])
+    try:
+        if command == "ablate":
+            train_docs = [p.document for p in sample_fewshot(pairs, 2, cfg["seed"]).train]
+            cli._ablation_variants(cfg, train_docs, None)
+        else:
+            cli._prompt_config(cfg, [p.document for p in pairs])
+        refusal = None
+    except ValueError as exc:
+        refusal = f"error: {exc}\n"
+
+    out = world / "parity" / str(next(_RUN_IDS))
+    argv = [
+        command, "--data", str(world / "data.jsonl"), "--vocab", str(world / "v" / "vocab.txt"),
+        "--d", "8", "--layers", "1", "--heads", "2", "--ffn", "16", "--max-pos", "512",
+        "--epochs", "1", "--out", str(out), "--shared" if shared else "--no-shared",
+        *(f"--{key.replace('_', '-')}={value}" for key, value in prompt_settings.items() if key != "shared"),
+    ]
+    if command == "ablate":
+        argv += ["--fewshot-size", "2", "--max-len", "4"]
+    capsys.readouterr()
+    if refusal is None:
+        with pytest.raises(_Reached):
+            dispatch(argv)
+        assert out.exists()
+    else:
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err == refusal
+        assert not out.exists()

@@ -58,6 +58,23 @@ def test_build_vocab_rejects_non_object_line(tmp_path, capsys):
     assert "line 2" in _single_error(capsys)
 
 
+@pytest.mark.parametrize("value", [None, 3, ["a"], {"text": "a"}], ids=["null", "number", "list", "object"])
+@pytest.mark.parametrize("key", ["document", "summary"])
+@pytest.mark.parametrize("command", ["build-vocab", "build-pseudo", "generate"])
+def test_record_field_that_is_not_a_string_is_one_error_line(setup, capsys, command, key, value):
+    records = make_lead_corpus(2, seed=0)
+    records[1][key] = value
+    write_jsonl(setup / "bad.jsonl", records)
+    extra = {
+        "build-vocab": [],
+        "build-pseudo": ["--vocab", str(setup / "v" / "vocab.txt"), "--strategy", "lead"],
+        "generate": ["--vocab", str(setup / "v" / "vocab.txt"), "--checkpoint", str(setup / "ckpt.npz")],
+    }[command]
+    rc = dispatch([command, "--data", str(setup / "bad.jsonl"), *extra, "--out", str(setup / "out")])
+    assert rc == 1
+    assert _single_error(capsys) == f"error: {setup / 'bad.jsonl'}: line 2: {key!r} must be a string\n"
+
+
 @pytest.mark.parametrize("damage", ["repeat", "swap", "short"])
 def test_bad_vocab_file_error_names_the_file(setup, capsys, damage):
     path = setup / "v" / "vocab.txt"
@@ -191,24 +208,32 @@ _NEW_MODEL = [
 
 
 @pytest.mark.parametrize(
-    "command, flag, extra",
+    "command, flag, extra, empty",
     [
-        ("pretrain-prompts", "--data", _NEW_MODEL),
-        ("pretrain-prompts", "--dev", _NEW_MODEL + ["--data", "{short}"]),
-        ("pretrain-backbone", "--data", _NEW_MODEL[:10]),
-        ("finetune", "--train", ["--checkpoint", "{ckpt}"]),
-        ("finetune", "--data", ["--checkpoint", "{ckpt}", "--fewshot-size", "4"]),
-        ("ablate", "--data", _NEW_MODEL + ["--fewshot-size", "4", "--max-len", "4"]),
+        ("pretrain-prompts", "--data", _NEW_MODEL, 0),
+        ("pretrain-prompts", "--dev", _NEW_MODEL + ["--data", "{short}"], 0),
+        ("pretrain-backbone", "--data", _NEW_MODEL[:10], 0),
+        ("finetune", "--train", ["--checkpoint", "{ckpt}"], 0),
+        ("finetune", "--data", ["--checkpoint", "{ckpt}", "--fewshot-size", "4"], 0),
+        ("ablate", "--data", _NEW_MODEL + ["--fewshot-size", "4", "--max-len", "4"], 0),
+        ("pretrain-backbone", "--data", _NEW_MODEL[:10], 1),
+        ("ablate", "--data", _NEW_MODEL + ["--fewshot-size", "4", "--max-len", "4"], 1),
     ],
-    ids=["pretrain-prompts", "pretrain-prompts-dev", "pretrain-backbone", "finetune-train", "finetune-fewshot", "ablate"],
+    ids=[
+        "pretrain-prompts", "pretrain-prompts-dev", "pretrain-backbone", "finetune-train", "finetune-fewshot",
+        "ablate", "pretrain-backbone-after-empty", "ablate-after-empty",
+    ],
 )
-def test_training_pair_overflow_fails_before_the_first_step(setup, capsys, command, flag, extra):
+def test_training_pair_overflow_fails_before_the_first_step(setup, capsys, command, flag, extra, empty):
     # Record 7 has an 84-token summary: 4 + 85 decoder rows exceed max_pos 40
     # (64 for the checkpoint), and 0 + 85 for the backbone. The other records
-    # fit; with --fewshot-size 4 all eight are drawn.
+    # fit; with --fewshot-size 4 all eight are drawn. ``empty`` records with an
+    # empty document go in front: they are skipped, but they keep their record
+    # numbers, so the long record is record 7 + empty.
     records = make_lead_corpus(7, seed=0, min_sentences=2, max_sentences=3)
     write_jsonl(setup / "short.jsonl", records)
     records.append({"document": "The cat sees the dog.", "summary": " ".join(["The cat sees the dog."] * 14)})
+    records[:0] = [{"document": "", "summary": "The cat."}] * empty
     write_jsonl(setup / "long.jsonl", records)
     paths = {"short": setup / "short.jsonl", "ckpt": setup / "ckpt.npz"}
     argv = [
@@ -217,7 +242,7 @@ def test_training_pair_overflow_fails_before_the_first_step(setup, capsys, comma
     ]
     assert dispatch(argv) == 1
     err = _single_error(capsys)
-    assert f"{flag} record 7: decoder length" in err and "exceeds max_pos" in err
+    assert f"{flag} record {7 + empty}: decoder length" in err and "exceeds max_pos" in err
     assert not (setup / "out" / "train_log.jsonl").exists()
     assert json.loads((setup / "out" / "manifest.json").read_text())["status"] == "error"
 
